@@ -118,6 +118,11 @@ RunResult SustainableFlOrchestrator::run() {
   std::vector<bool> dropped_flag;
   std::vector<std::size_t> participants;
   RoundSettlement settlement;
+  // Reputation probes need only the validation loss, so they call
+  // Model::loss on this batch directly (what fl::evaluate(...).loss
+  // computes) and skip evaluate's accuracy pass.
+  const std::vector<std::size_t> validation_batch =
+      fl::full_batch(scenario_->validation);
 
   for (std::size_t round = 0; round < config_.rounds; ++round) {
     if (energy.has_value()) {
@@ -226,7 +231,7 @@ RunResult SustainableFlOrchestrator::run() {
     if (!participants.empty()) {
       const std::vector<double> params_before = trainer_.parameters();
       const double base_loss =
-          fl::evaluate(trainer_.model(), scenario_->validation).loss;
+          trainer_.model().loss(scenario_->validation, validation_batch);
       const fl::DetailedRound detail = trainer_.run_round_detailed(participants);
       const std::unique_ptr<fl::Model> probe = trainer_.model().clone();
       std::vector<double> probe_params(params_before.size());
@@ -236,7 +241,7 @@ RunResult SustainableFlOrchestrator::run() {
         }
         probe->set_parameters(probe_params);
         const double solo_loss =
-            fl::evaluate(*probe, scenario_->validation).loss;
+            probe->loss(scenario_->validation, validation_batch);
         // Squash the validation-loss delta into a [0, 1] quality
         // observation: improvement -> above 0.5, harm -> below 0.5.
         const double quality_obs =

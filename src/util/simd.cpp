@@ -37,7 +37,10 @@ namespace {
 
 #if defined(SFL_SIMD_X86)
 /// 4-wide AVX2 lanes with explicit (never-contracted) mul/sub intrinsics;
-/// the <4 remainder runs through the out-of-line scalar kernel.
+/// the <4 remainder runs through the out-of-line scalar kernel. The upper
+/// YMM state is cleared explicitly before that call (the upper-state
+/// contract in simd.h): GCC compiles it as a sibling jmp and inserts no
+/// vzeroupper of its own there.
 __attribute__((target("avx2"))) void score_avx2(const double* values,
                                                 const double* bids,
                                                 const double* penalties,
@@ -64,6 +67,7 @@ __attribute__((target("avx2"))) void score_avx2(const double* values,
               _mm256_sub_pd(_mm256_mul_pd(wv, v), _mm256_mul_pd(wb, b)), p));
     }
   }
+  _mm256_zeroupper();
   score_scalar(values + i, bids + i,
                penalties == nullptr ? nullptr : penalties + i, out + i, n - i,
                vw, bw);

@@ -20,6 +20,15 @@
 // signed zeros, and large magnitudes across every available kernel and
 // compares the results bit for bit against auction::score; a kernel that
 // diverges is a bug in the kernel, never a tolerance to loosen.
+//
+// Upper-state contract: every x86 vector kernel executes vzeroupper before
+// it calls or returns to non-VEX code. The rest of the library is built
+// without -mavx, so a dirty upper YMM state left behind by a kernel makes
+// every later legacy-SSE instruction on that thread pay a transition
+// penalty. The compiler's automatic insertion is not enough: GCC emitted no
+// vzeroupper before the sibling-call tail into the scalar kernel, and the
+// FL loop ran about 6.5x slower for it. tests/util/simd_test.cpp reads the
+// XINUSE bit after every AVX2 exit path.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "data/synthetic.h"
 #include "fl/linear_regression.h"
@@ -174,6 +176,49 @@ TEST(EvaluateTest, RegressionHasNoAccuracy) {
   const EvalResult result = evaluate(model, ds);
   EXPECT_FALSE(result.has_accuracy);
   EXPECT_GT(result.loss, 0.0);
+}
+
+/// Overwrites every parameter with a seeded non-zero draw.
+void randomize_parameters(Model& model, std::uint64_t seed) {
+  sfl::util::Rng rng(seed);
+  std::vector<double> params(model.parameter_count());
+  for (double& p : params) p = rng.uniform(-1.5, 1.5);
+  model.set_parameters(params);
+}
+
+void expect_loss_equals_evaluate_bitwise(const Model& model,
+                                         const data::Dataset& ds) {
+  const double direct = model.loss(ds, full_batch(ds));
+  const double evaluated = evaluate(model, ds).loss;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(direct),
+            std::bit_cast<std::uint64_t>(evaluated))
+      << "loss " << direct << " vs evaluate().loss " << evaluated;
+}
+
+// The orchestrator's reputation probes call Model::loss on a full batch in
+// place of evaluate(...).loss; this pins that the two are the same double.
+TEST(EvaluateTest, LossOnFullBatchIsBitEqualToEvaluateLoss) {
+  sfl::util::Rng data_rng(91);
+  data::GaussianMixtureSpec spec;
+  spec.num_examples = 150;
+  spec.num_classes = 4;
+  spec.feature_dim = 6;
+  const data::Dataset classes = data::make_gaussian_mixture(spec, data_rng);
+
+  LogisticRegression logistic(6, 4, 1e-3);
+  randomize_parameters(logistic, 11);
+  expect_loss_equals_evaluate_bitwise(logistic, classes);
+
+  sfl::util::Rng init_rng(12);
+  Mlp mlp(6, 9, 4, init_rng, 1e-3);
+  randomize_parameters(mlp, 13);
+  expect_loss_equals_evaluate_bitwise(mlp, classes);
+
+  const data::LinearRegressionData linear =
+      data::make_linear_regression(120, 5, 0.3, data_rng);
+  LinearRegression regression(5, 1e-3);
+  randomize_parameters(regression, 14);
+  expect_loss_equals_evaluate_bitwise(regression, linear.dataset);
 }
 
 }  // namespace

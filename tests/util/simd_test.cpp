@@ -19,6 +19,10 @@
 #include "auction/types.h"
 #include "util/rng.h"
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
+
 namespace sfl::util::simd {
 namespace {
 
@@ -193,6 +197,62 @@ TEST(SimdTest, SeededRandomSweepMatchesOnEveryKernelAndDefaultDispatch) {
                 std::bit_cast<std::uint64_t>(want));
     }
   }
+}
+
+#if defined(__x86_64__)
+/// XINUSE (XGETBV with ECX=1) bit 2: the upper halves of the YMM registers
+/// are not in their initial (zeroed) state.
+bool avx_upper_state_in_use() {
+  std::uint32_t lo = 0;
+  std::uint32_t hi = 0;
+  asm volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(1));
+  return (lo & 0x4U) != 0;
+}
+#endif
+
+// A vector kernel that returns with a dirty upper YMM state makes every
+// later legacy-SSE double instruction on the thread pay a transition
+// penalty (the whole FL loop, which is built without -mavx). Every exit of
+// the AVX2 kernel must leave the state clean.
+TEST(SimdTest, Avx2KernelLeavesUpperStateClean) {
+#if defined(__x86_64__)
+  if (!kernel_available(ScoreKernel::kAvx2)) {
+    GTEST_SKIP() << "AVX2 unavailable on this host";
+  }
+  unsigned eax = 0;
+  unsigned ebx = 0;
+  unsigned ecx = 0;
+  unsigned edx = 0;
+  if (__get_cpuid_count(0x0D, 1, &eax, &ebx, &ecx, &edx) == 0 ||
+      (eax & 0x4U) == 0) {
+    GTEST_SKIP() << "XGETBV with ECX=1 (XINUSE) unsupported on this host";
+  }
+  asm volatile("vzeroupper");
+  if (avx_upper_state_in_use()) {
+    GTEST_SKIP() << "this host does not report a cleared upper state";
+  }
+  sfl::util::Rng rng(7);
+  for (const std::size_t n : {0, 1, 3, 4, 37}) {
+    std::vector<double> values(n);
+    std::vector<double> bids(n);
+    std::vector<double> penalties(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      values[i] = rng.uniform(0.0, 10.0);
+      bids[i] = rng.uniform(0.0, 5.0);
+      penalties[i] = rng.uniform(0.0, 1.0);
+    }
+    std::vector<double> out(n);
+    for (const bool with_penalties : {false, true}) {
+      score_span_with(ScoreKernel::kAvx2, values.data(), bids.data(),
+                      with_penalties ? penalties.data() : nullptr, out.data(),
+                      n, 10.0, 11.5);
+      const bool dirty = avx_upper_state_in_use();
+      EXPECT_FALSE(dirty) << "n=" << n << " penalties=" << with_penalties;
+    }
+  }
+#else
+  GTEST_SKIP() << "x86-64 only";
+#endif
 }
 
 }  // namespace
