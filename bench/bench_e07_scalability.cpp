@@ -228,54 +228,6 @@ BENCHMARK(BM_FullRoundDistributedLoopback)
     ->ArgsProduct({benchmark::CreateRange(10'000, scal_max_n(), 10), {2, 4}})
     ->Unit(benchmark::kMicrosecond);
 
-void BM_PipelinedDistributedStraggler(benchmark::State& state) {
-  // Multi-round pipelining under scripted straggler delays: arg0 = N,
-  // arg1 = pipeline depth, over 4 loopback workers where worker 0 is a
-  // straggler (wall-clock reply latency well above its peers). Per
-  // iteration the coordinator submits rounds up to `depth` ahead and
-  // retires one, so at depth 1 every round eats the straggler's full
-  // latency, while deeper pipelines overlap round t+1's dispatch (and the
-  // fast workers' compute) with round t's stall — the measured
-  // time/round, i.e. rounds/sec, is the pipelining win. Inputs are
-  // caller-known per round (constant weights), so every depth is
-  // bit-identical; the pre-bench sweep enforces it.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto depth = static_cast<std::size_t>(state.range(1));
-  constexpr std::size_t kWorkers = 4;
-  const RandomInstance instance = make_instance(n);
-  const CandidateBatch batch = CandidateBatch::from_aos(instance.candidates);
-  const ScoreWeights weights{10.0, 12.5};
-  const std::size_t m = 10;
-
-  auto transport = std::make_unique<sfl::dist::LoopbackTransport>(kWorkers);
-  transport->set_worker_latency(0, std::chrono::microseconds(800));
-  for (std::size_t w = 1; w < kWorkers; ++w) {
-    transport->set_worker_latency(w, std::chrono::microseconds(100));
-  }
-  const sfl::dist::DistributedWdp engine{
-      sfl::dist::DistributedWdpConfig{
-          .pipeline_depth = depth,
-          .receive_timeout = std::chrono::milliseconds(50)},
-      std::move(transport)};
-
-  std::vector<RoundScratch> lanes(depth);
-  std::size_t submitted = 0;
-  for (auto _ : state) {
-    while (engine.rounds_in_flight() < depth) {
-      engine.submit(batch, weights, m, {}, lanes[submitted % depth]);
-      ++submitted;
-    }
-    engine.retire_oldest();
-    benchmark::DoNotOptimize(lanes.data());
-  }
-  while (engine.rounds_in_flight() > 0) engine.retire_oldest();
-  state.SetItemsProcessed(state.iterations());  // items/sec == rounds/sec
-}
-BENCHMARK(BM_PipelinedDistributedStraggler)
-    ->ArgsProduct({{4'096}, {1, 2, 4}})
-    ->Unit(benchmark::kMicrosecond)
-    ->UseRealTime();
-
 /// One synchronous distributed round per iteration over 4 loopback workers
 /// with wall-clock reply latencies, in three configurations (the PR-7
 /// acceptance family): no straggler (baseline), a permanent 800us straggler
@@ -608,30 +560,8 @@ bool verify_sharded_equivalence() {
         return false;
       }
     }
-    // The pipelined coordinator at depth > 1: a full burst of in-flight
-    // rounds must retire to the identical result (same batch per round,
-    // so each retirement is directly comparable to the serial reference).
-    for (const std::size_t depth : {2, 4}) {
-      const sfl::dist::DistributedWdp engine{sfl::dist::DistributedWdpConfig{
-          .workers = 3, .pipeline_depth = depth}};
-      std::vector<RoundScratch> lanes(depth);
-      for (std::size_t r = 0; r < depth; ++r) {
-        engine.submit(batch, weights, m, {}, lanes[r]);
-      }
-      for (std::size_t r = 0; r < depth; ++r) {
-        engine.retire_oldest();
-        if (lanes[r].allocation.selected != serial.selected ||
-            lanes[r].allocation.total_score != serial.total_score ||
-            lanes[r].payments != serial_payments) {
-          std::cerr << "E7 FATAL: pipelined WDP diverges from serial at n="
-                    << n << " depth=" << depth << " round=" << r << "\n";
-          return false;
-        }
-      }
-    }
   }
-  std::cout << "E7: serial-vs-sharded-vs-distributed(-pipelined) "
-               "equivalence sweep OK\n";
+  std::cout << "E7: serial-vs-sharded-vs-distributed equivalence sweep OK\n";
   return true;
 }
 

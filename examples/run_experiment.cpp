@@ -7,12 +7,16 @@
 //                  [partition=dirichlet|iid|quantity] [alpha=0.3]
 //                  [noisy_fraction=0.3] [flip_prob=0.8]
 //                  [budget=6] [winners=8] [v=10] [pacing=0.5] [shards=0]
-//                  [async_settle=0] [dist_workers=0] [dist_pipeline_depth=0]
+//                  [async_settle=0] [dist_workers=0] [hedge=1]
 //                  [oracle_threads=0] [greedy_scale=20]
 //                  [model=logreg|mlp] [hidden=32] [lr=0.05] [local_steps=5]
-//                  [proximal_mu=0] [server_momentum=0]
+//                  [proximal_mu=0]
 //                  [use_reputation=1] [energy=0] [seed=42]
 //                  [csv=/path/to/rounds.csv]
+//
+// Every key must be one the chosen scenario reads: a misspelled key, or one
+// that only applies to another scenario, model or partition, is named on
+// stderr and the run exits 2 before any round runs.
 //
 // Scenarios (PR-10 extensions; see README "Scenario extensions"):
 //   scenario=static    the default FL training run.
@@ -52,17 +56,9 @@
 // (dist_workers=0 uses the key's default of 2). Winners and payments are
 // bit-identical to lto-vcg for any worker count.
 //
-// mechanism=lto-vcg-dist-pipe builds the pipeline-capable coordinator:
-// `dist_pipeline_depth` per-round scratch lanes (0 uses the key's default
-// of 2), bit-identical to lto-vcg at any depth. The distributed keys hedge
-// laggard shards by default (adaptive per-worker deadlines; hedge=0
-// disables), and mechanism=lto-vcg-dist-hedge forces hedging on over a
-// 4-worker default fleet. NOTE: this FL runner
-// drives the orchestrator, which clears rounds synchronously — actual
-// round overlap engages in drivers that feed rounds ahead through the
-// pipelined round API (core::run_market, or submit_round /
-// retire_round_into directly); see ROADMAP "pipelined distributed
-// rounds".
+// mechanism=lto-vcg-dist hedges laggard shards by default (adaptive
+// per-worker deadlines; hedge=0 disables), and mechanism=lto-vcg-dist-hedge
+// forces hedging on over a 4-worker default fleet.
 //
 // The parallel comparison-oracle keys (mechanism=budgeted-oracle-par,
 // greedy-concave-par, myopic-vcg-ext-par) run the expensive baseline
@@ -73,6 +69,8 @@
 #include <iostream>
 #include <memory>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "auction/registry.h"
 #include "core/market_simulation.h"
@@ -99,7 +97,6 @@ sfl::auction::MechanismConfig mechanism_config_from(const Config& args,
   config.lto.pacing_rate = args.get_double("pacing", 0.5);
   config.lto.shards = args.get_size("shards", 0);
   config.lto.dist_workers = args.get_size("dist_workers", 0);
-  config.lto.dist_pipeline_depth = args.get_size("dist_pipeline_depth", 0);
   config.lto.hedge = args.get_bool("hedge", true);
   config.lto.async_settle = args.get_bool("async_settle", false);
   // One knob feeds both parallel-oracle surfaces: the "-par" comparison
@@ -111,6 +108,18 @@ sfl::auction::MechanismConfig mechanism_config_from(const Config& args,
   config.fixed_price.price = args.get_double("price", 1.0);
   config.random_stipend.stipend = args.get_double("stipend", 1.0);
   return config;
+}
+
+/// Rejects a run whose command line sets keys this scenario never read: a
+/// typo or a removed option would otherwise run silently on defaults.
+/// Returns false after naming them on stderr.
+bool all_keys_read(const Config& args) {
+  const std::vector<std::string> unread = args.unread_keys();
+  if (unread.empty()) return true;
+  std::cerr << "run_experiment: unknown or unused key(s):";
+  for (const std::string& key : unread) std::cerr << ' ' << key;
+  std::cerr << "\n";
+  return false;
 }
 
 /// Auction-only streaming market (scenario=online): no FL loop, the
@@ -138,6 +147,8 @@ int run_online_scenario(const Config& args) {
       sfl::auction::build_mechanism(
           mechanism_name, mechanism_config_from(args, mspec.per_round_budget,
                                                 mspec.num_clients));
+  const std::string csv_path = args.get_string("csv", "");
+  if (!all_keys_read(args)) return 2;
   const sfl::core::MarketResult result =
       sfl::core::run_market(*mechanism, mspec);
 
@@ -160,7 +171,6 @@ int run_online_scenario(const Config& args) {
   summary.row("final budget backlog", result.final_budget_backlog);
   summary.print(std::cout);
 
-  const std::string csv_path = args.get_string("csv", "");
   if (!csv_path.empty()) {
     std::ofstream out(csv_path);
     if (!out.is_open()) {
@@ -195,6 +205,8 @@ int run_multi_scenario(const Config& args) {
   qspec.seed = args.get_size("seed", 42);
 
   const std::string mechanism_name = args.get_string("mechanism", "lto-vcg");
+  const std::string csv_path = args.get_string("csv", "");
+  if (!all_keys_read(args)) return 2;
   const sfl::core::MultiRequesterResult result =
       sfl::core::run_multi_requester_market(qspec, mechanism_name);
 
@@ -209,7 +221,6 @@ int run_multi_scenario(const Config& args) {
   }
   summary.print(std::cout);
 
-  const std::string csv_path = args.get_string("csv", "");
   if (!csv_path.empty()) {
     std::ofstream out(csv_path);
     if (!out.is_open()) {
@@ -345,6 +356,8 @@ int main(int argc, char** argv) {
           mechanism_config_from(args, config.per_round_budget,
                                 sspec.num_clients)),
       config);
+  const std::string csv_path = args.get_string("csv", "");
+  if (!all_keys_read(args)) return 2;
   const sfl::core::RunResult result = orchestrator.run();
 
   // --- report ---
@@ -361,7 +374,6 @@ int main(int argc, char** argv) {
   summary.row("IR fraction", result.ir_fraction);
   summary.print(std::cout);
 
-  const std::string csv_path = args.get_string("csv", "");
   if (!csv_path.empty()) {
     std::ofstream out(csv_path);
     if (!out.is_open()) {

@@ -30,13 +30,12 @@ void print_usage(std::ostream& out) {
          "Persistent auction service front-end (multi-client TCP server).\n"
          "\n"
          "  --port=P             bind 127.0.0.1:P (default 0 = ephemeral)\n"
-         "  --mechanism=KEY      registry key (default lto-vcg-dist-pipe)\n"
+         "  --mechanism=KEY      registry key (default lto-vcg)\n"
          "  --bids-per-round=N   bids that clear a market round (default 32)\n"
          "  --winners=M          max winners per round (default 8)\n"
          "  --budget=B           per-round payment budget (default 6.0)\n"
          "  --v=V                Lyapunov V weight (default 10.0)\n"
          "  --dist-workers=W     shard workers for dist keys (0 = default)\n"
-         "  --depth=D            pipeline depth for dist-pipe (0 = default)\n"
          "  --seed=S             seed for randomized rules (default 42)\n"
          "  --help               show this message and exit\n"
          "\n"
@@ -101,9 +100,6 @@ int main(int argc, char** argv) {
     } else if (has_prefix(arg, "--dist-workers=")) {
       ok = parse_u64(arg, "--dist-workers=", u64);
       config.engine.dist_workers = static_cast<std::size_t>(u64);
-    } else if (has_prefix(arg, "--depth=")) {
-      ok = parse_u64(arg, "--depth=", u64);
-      config.engine.dist_pipeline_depth = static_cast<std::size_t>(u64);
     } else if (has_prefix(arg, "--seed=")) {
       ok = parse_u64(arg, "--seed=", config.engine.seed);
     } else {

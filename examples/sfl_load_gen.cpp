@@ -103,9 +103,8 @@ void print_usage(std::ostream& out) {
          "  --verify=0|1         bit-exact check vs in-process engine "
          "(default 1)\n"
          "  --json=PATH          write benchmark JSON (default: none)\n"
-         "  --mechanism=KEY      registry key (default lto-vcg-dist-pipe)\n"
-         "  --winners=M --budget=B --v=V --dist-workers=W --depth=D "
-         "--seed=S\n"
+         "  --mechanism=KEY      registry key (default lto-vcg)\n"
+         "  --winners=M --budget=B --v=V --dist-workers=W --seed=S\n"
          "                       engine knobs; MUST match the server's\n"
          "  --help               show this message and exit\n"
          "\n"
@@ -661,9 +660,6 @@ int main(int argc, char** argv) {
     } else if (has_prefix(arg, "--dist-workers=")) {
       ok = parse_u64(arg, "--dist-workers=", u64);
       options.engine.dist_workers = static_cast<std::size_t>(u64);
-    } else if (has_prefix(arg, "--depth=")) {
-      ok = parse_u64(arg, "--depth=", u64);
-      options.engine.dist_pipeline_depth = static_cast<std::size_t>(u64);
     } else if (has_prefix(arg, "--seed=")) {
       ok = parse_u64(arg, "--seed=", options.engine.seed);
     } else {

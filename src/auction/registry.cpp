@@ -49,6 +49,23 @@ core::LtoVcgConfig lto_config_from(const MechanismConfig& config, bool paced) {
   return lto;
 }
 
+/// The distributed keys: paced LTO-VCG on the DistributedWdp coordinator
+/// (lto.dist_workers = 0 picks `workers`). shards = 0 lets the coordinator
+/// derive one span per worker — reproducible from the configuration alone,
+/// unlike hardware auto.
+std::unique_ptr<Mechanism> build_distributed(const MechanismConfig& config,
+                                             const char* name,
+                                             std::size_t workers, bool hedge) {
+  core::LtoVcgConfig lto = lto_config_from(config, /*paced=*/true);
+  lto.shards = config.lto.shards;
+  lto.dist_workers =
+      config.lto.dist_workers == 0 ? workers : config.lto.dist_workers;
+  lto.dist_hedge = hedge;
+  lto.name = name;
+  return maybe_async(std::make_unique<core::LongTermOnlineVcgMechanism>(lto),
+                     config);
+}
+
 void register_builtins(MechanismRegistry& registry) {
   registry.add(
       "lto-vcg",
@@ -80,45 +97,8 @@ void register_builtins(MechanismRegistry& registry) {
       "to lto-vcg for any worker count, reply order, or recovered fault "
       "(lto.dist_workers: 0 = default 2, k = k loopback workers)",
       [](const MechanismConfig& config) -> std::unique_ptr<Mechanism> {
-        core::LtoVcgConfig lto = lto_config_from(config, /*paced=*/true);
-        // shards = 0 lets the coordinator derive one span per worker —
-        // reproducible from the configuration alone, unlike hardware auto.
-        lto.shards = config.lto.shards;
-        lto.dist_workers =
-            config.lto.dist_workers == 0 ? 2 : config.lto.dist_workers;
-        lto.dist_hedge = config.lto.hedge;
-        lto.name = "lto-vcg-dist";
-        return maybe_async(
-            std::make_unique<core::LongTermOnlineVcgMechanism>(lto), config);
-      });
-  registry.add_variant(
-      "lto-vcg-dist-pipe", "lto-vcg",
-      "LTO-VCG on the pipelined distributed WDP coordinator: up to "
-      "lto.dist_pipeline_depth rounds in flight over the shard transport "
-      "at once on per-round scratch lanes, retiring in strict round order "
-      "— settled trajectories bit-identical to lto-vcg at any depth, "
-      "worker count, or fault schedule (lto.dist_pipeline_depth: 0 = "
-      "default 2; lto.dist_workers: 0 = default 2; lto.async_settle is "
-      "ignored — pipelined retirement settles synchronously, each settle "
-      "validating the next round's speculative dispatch)",
-      [](const MechanismConfig& config) -> std::unique_ptr<Mechanism> {
-        core::LtoVcgConfig lto = lto_config_from(config, /*paced=*/true);
-        lto.shards = config.lto.shards;
-        lto.dist_workers =
-            config.lto.dist_workers == 0 ? 2 : config.lto.dist_workers;
-        lto.dist_pipeline_depth = config.lto.dist_pipeline_depth == 0
-                                      ? 2
-                                      : config.lto.dist_pipeline_depth;
-        lto.dist_hedge = config.lto.hedge;
-        lto.name = "lto-vcg-dist-pipe";
-        // Deliberately NOT maybe_async: an async decorator would hide the
-        // pipelined round API from drivers (silently disabling the
-        // feature), and the pipelined contract requires synchronous
-        // settlement anyway — the settle IS the speculation-validation
-        // event. Callers that stream settlements for the whole roster
-        // (OrchestratorConfig.async_settle) still work: this mechanism
-        // then just runs through the synchronous engine path.
-        return std::make_unique<core::LongTermOnlineVcgMechanism>(lto);
+        return build_distributed(config, "lto-vcg-dist", /*workers=*/2,
+                                 config.lto.hedge);
       });
   registry.add_variant(
       "lto-vcg-dist-hedge", "lto-vcg",
@@ -128,21 +108,11 @@ void register_builtins(MechanismRegistry& registry) {
       "abandoning the original attempt, first valid reply wins, and "
       "workers join/leave between rounds via kWorkerHello/kWorkerGoodbye — "
       "settled trajectories bit-identical to lto-vcg under any straggler "
-      "or membership schedule (lto.dist_workers: 0 = default 4; "
-      "lto.dist_pipeline_depth: 0 = default 2; hedging forced on)",
+      "or membership schedule (lto.dist_workers: 0 = default 4; hedging "
+      "forced on)",
       [](const MechanismConfig& config) -> std::unique_ptr<Mechanism> {
-        core::LtoVcgConfig lto = lto_config_from(config, /*paced=*/true);
-        lto.shards = config.lto.shards;
-        lto.dist_workers =
-            config.lto.dist_workers == 0 ? 4 : config.lto.dist_workers;
-        lto.dist_pipeline_depth = config.lto.dist_pipeline_depth == 0
-                                      ? 2
-                                      : config.lto.dist_pipeline_depth;
-        lto.dist_hedge = true;
-        lto.name = "lto-vcg-dist-hedge";
-        // Pipelined like lto-vcg-dist-pipe, so no async decorator (see
-        // the note there).
-        return std::make_unique<core::LongTermOnlineVcgMechanism>(lto);
+        return build_distributed(config, "lto-vcg-dist-hedge", /*workers=*/4,
+                                 /*hedge=*/true);
       });
   registry.add_variant(
       "lto-vcg-async", "lto-vcg",

@@ -9,7 +9,7 @@
 // against their headers.
 //
 // Built-in keys (see registry.cpp): lto-vcg, lto-vcg-sharded, lto-vcg-async,
-// lto-vcg-dist, lto-vcg-dist-pipe, lto-vcg-dist-hedge, lto-vcg-unpaced,
+// lto-vcg-dist, lto-vcg-dist-hedge, lto-vcg-unpaced,
 // myopic-vcg, pay-as-bid,
 // fixed-price, adaptive-price, random-stipend, proportional-share,
 // first-best-oracle, budgeted-oracle, budgeted-oracle-par, greedy-concave,
@@ -55,22 +55,17 @@ struct LtoVcgOptions {
   /// identical allocations and payments; only wall time changes.
   std::size_t shards = 0;
   /// Shard-worker count, consumed by the "lto-vcg-dist" and
-  /// "lto-vcg-dist-pipe" keys: the round's winner determination runs on
+  /// "lto-vcg-dist-hedge" keys: the round's winner determination runs on
   /// the DistributedWdp coordinator over an in-process loopback transport
-  /// with this many workers (0 picks the key's default of 2).
+  /// with this many workers (0 picks the key's default: 2, or 4 for
+  /// "lto-vcg-dist-hedge").
   /// Bit-identical allocations and payments for any worker count; only
   /// execution topology changes.
   std::size_t dist_workers = 0;
-  /// Round-pipeline depth, consumed by the "lto-vcg-dist-pipe" key: up to
-  /// this many auction rounds stay in flight over the shard transport at
-  /// once, each on its own scratch lane (0 picks the key's default of 2;
-  /// 1 degenerates to lto-vcg-dist). Any depth produces bit-identical
-  /// trajectories; depth only overlaps straggler waits.
-  std::size_t dist_pipeline_depth = 0;
-  /// Hedged dispatch on the distributed keys ("lto-vcg-dist",
-  /// "lto-vcg-dist-pipe"): adaptive per-worker deadlines re-dispatch
-  /// laggard shards to the next live worker in rendezvous order before the
-  /// full receive timeout, first valid reply wins. Trajectories are
+  /// Hedged dispatch on the "lto-vcg-dist" key: adaptive per-worker
+  /// deadlines re-dispatch laggard shards to the next live worker in
+  /// rendezvous order before the full receive timeout, first valid reply
+  /// wins. Trajectories are
   /// bit-identical either way; hedging only changes tail latency under
   /// stragglers and membership churn. The "lto-vcg-dist-hedge" key forces
   /// this on.
@@ -87,10 +82,7 @@ struct LtoVcgOptions {
   /// queue first. Results are bit-identical to synchronous settlement; only
   /// when the caller's round loop overlaps work with the pending
   /// settlement does wall time change. The "lto-vcg-async" key forces this
-  /// on; the knob extends it to any lto-vcg* key except
-  /// "lto-vcg-dist-pipe", which ignores it (pipelined retirement settles
-  /// synchronously — each settle validates the next round's speculative
-  /// dispatch).
+  /// on; the knob extends it to every other lto-vcg* key.
   bool async_settle = false;
   /// Thread lanes for the vcg_externality_payments ablation's per-winner
   /// leave-one-out re-solves (0 = auto, 1 = serial, k = exactly k lanes).

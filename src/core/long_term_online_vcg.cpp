@@ -25,27 +25,14 @@ using sfl::util::require;
 
 LongTermOnlineVcgMechanism::LongTermOnlineVcgMechanism(const LtoVcgConfig& config)
     : config_(config), budget_queue_(config.per_round_budget) {
-  require(config.dist_pipeline_depth >= 1, "pipeline depth must be >= 1");
   if (config.dist_workers > 0) {
-    auto dist = std::make_unique<sfl::dist::DistributedWdp>(
-        sfl::dist::DistributedWdpConfig{
-            .shards = config.shards,
-            .workers = config.dist_workers,
-            .pipeline_depth = config.dist_pipeline_depth,
-            .hedge = config.dist_hedge});
-    dist_ = dist.get();
-    wdp_ = std::move(dist);
+    wdp_ = std::make_unique<sfl::dist::DistributedWdp>(
+        sfl::dist::DistributedWdpConfig{.shards = config.shards,
+                                        .workers = config.dist_workers,
+                                        .hedge = config.dist_hedge});
   } else {
-    require(config.dist_pipeline_depth == 1,
-            "dist_pipeline_depth > 1 requires the distributed engine "
-            "(dist_workers > 0)");
     wdp_ = std::make_unique<ShardedWdp>(
         ShardedWdpConfig{.shards = config.shards});
-  }
-  if (config.dist_pipeline_depth > 1) {
-    require(config.payment_rule == PaymentRule::kCriticalValue,
-            "pipelined rounds support only the critical-value payment rule");
-    pipe_lanes_.resize(config.dist_pipeline_depth);
   }
   require(config.v_weight > 0.0, "V weight must be > 0");
   require(config.per_round_budget > 0.0, "per-round budget must be > 0");
@@ -102,10 +89,8 @@ void LongTermOnlineVcgMechanism::run_round_into(const CandidateBatch& batch,
                                                 const RoundContext& context,
                                                 MechanismResult& out) {
   // Opens the round for the idempotency guard: the next settlement (and
-  // only the next) may apply queue updates. The settle also becomes the
-  // event that determines any speculatively pipelined successor's inputs.
+  // only the next) may apply queue updates.
   round_open_ = true;
-  settle_pending_ = true;
   const ScoreWeights weights = current_weights();
   penalties_into(batch.ids(), batch.energy_costs(), scratch().penalties);
 
@@ -146,8 +131,7 @@ void LongTermOnlineVcgMechanism::run_round_into(const CandidateBatch& batch,
 ScoreWeights LongTermOnlineVcgMechanism::external_round_inputs(
     const CandidateBatch& batch, Penalties& out) {
   require(supports_external_rounds(),
-          "external_round_inputs requires the critical-value payment rule "
-          "with no pipelined rounds in flight");
+          "external_round_inputs requires the critical-value payment rule");
   penalties_into(batch.ids(), batch.energy_costs(), out);
   return current_weights();
 }
@@ -156,85 +140,11 @@ void LongTermOnlineVcgMechanism::commit_external_round(
     const CandidateBatch& batch, std::span<const std::size_t> selected,
     std::span<const double> payments, MechanismResult& out) {
   require(supports_external_rounds(),
-          "commit_external_round requires the critical-value payment rule "
-          "with no pipelined rounds in flight");
+          "commit_external_round requires the critical-value payment rule");
   // Mirrors run_round_into's round-open bookkeeping: the next settlement
   // (and only the next) applies the queue updates.
   round_open_ = true;
-  settle_pending_ = true;
   fill_result(batch, selected, payments, out);
-}
-
-void LongTermOnlineVcgMechanism::submit_round(const CandidateBatch& batch,
-                                              const RoundContext& context) {
-  require(dist_ != nullptr && config_.dist_pipeline_depth > 1,
-          "submit_round requires dist_pipeline_depth > 1 (pipelined "
-          "distributed engine)");
-  require(lane_count_ < pipe_lanes_.size(),
-          "round pipeline is full: retire a round before submitting another");
-  PipelineLane& lane =
-      pipe_lanes_[(lane_head_ + lane_count_) % pipe_lanes_.size()];
-  lane.batch = &batch;
-  lane.max_winners = context.max_winners;
-  // Inputs are final only when every produced round has settled; otherwise
-  // this dispatch is a speculation on the queues not moving, checked (and
-  // corrected) when the preceding round's settlement lands.
-  lane.speculative = lane_count_ > 0 || settle_pending_;
-  lane.weights = current_weights();
-  penalties_into(batch.ids(), batch.energy_costs(), lane.scratch.penalties);
-  lane.handle = dist_->submit(batch, lane.weights, context.max_winners,
-                              lane.scratch.penalties, lane.scratch);
-  ++lane_count_;
-  ++pipeline_stats_.submitted;
-  if (lane.speculative) ++pipeline_stats_.speculative;
-}
-
-void LongTermOnlineVcgMechanism::retire_round_into(MechanismResult& out) {
-  require(lane_count_ > 0, "retire_round_into: no rounds in flight");
-  PipelineLane& lane = pipe_lanes_[lane_head_];
-  // An unvalidated speculation may not retire: its dispatch could disagree
-  // with the true post-settle inputs. The caller drives retire -> settle ->
-  // retire in strict round order, which validates each lane in turn.
-  require(!lane.speculative,
-          "retire_round_into before the previous round settled: settle "
-          "each retired round before retiring the next");
-  const std::uint64_t handle = dist_->retire_oldest();
-  require(handle == lane.handle,
-          "engine retired a different round than the mechanism expected");
-  round_open_ = true;
-  settle_pending_ = true;
-  fill_result(*lane.batch, lane.scratch.allocation.selected,
-              lane.scratch.payments, out);
-  lane.batch = nullptr;
-  lane_head_ = (lane_head_ + 1) % pipe_lanes_.size();
-  --lane_count_;
-}
-
-void LongTermOnlineVcgMechanism::confirm_pipeline_after_settle() {
-  settle_pending_ = false;
-  if (lane_count_ == 0) return;
-  PipelineLane& lane = pipe_lanes_[lane_head_];
-  if (!lane.speculative) return;
-  // The settlement that just applied was the last one ahead of this round,
-  // so its true inputs exist now: either the speculation matches them bit
-  // for bit (the dispatched replies are exactly what a serial engine would
-  // have requested) or the round is re-issued with the corrected inputs
-  // under a fresh sequence number, stale speculative replies falling dead
-  // against the per-round validation.
-  const ScoreWeights truth = current_weights();
-  penalties_into(lane.batch->ids(), lane.batch->energy_costs(),
-                 penalties_check_);
-  if (truth.value_weight == lane.weights.value_weight &&
-      truth.bid_weight == lane.weights.bid_weight &&
-      penalties_check_ == lane.scratch.penalties) {
-    ++pipeline_stats_.confirmed;
-  } else {
-    lane.weights = truth;
-    lane.scratch.penalties.swap(penalties_check_);
-    dist_->resubmit(lane.handle, lane.weights, lane.scratch.penalties);
-    ++pipeline_stats_.redispatched;
-  }
-  lane.speculative = false;
 }
 
 void LongTermOnlineVcgMechanism::fill_result(const CandidateBatch& batch,
@@ -314,9 +224,6 @@ void LongTermOnlineVcgMechanism::settle(const RoundSettlement& settlement) {
   last_settled_round_ = settlement.round;
   round_open_ = false;
   last_round_winners_.clear();
-  // The queues just moved (or provably did not): the oldest in-flight
-  // pipelined round's speculation is now decidable.
-  confirm_pipeline_after_settle();
 }
 
 void LongTermOnlineVcgMechanism::observe(const RoundObservation& observation) {

@@ -28,27 +28,11 @@
 // rounds through run_round_into perform zero heap allocations after
 // warm-up on the in-process engines.
 //
-// Pipelined rounds (dist_pipeline_depth > 1, distributed engine only): the
-// submit_round / retire_round_into API keeps up to `depth` rounds in
-// flight, each on its own scratch lane. Round t+1's scores depend on the
-// queue state AFTER round t settles, so a round submitted while earlier
-// rounds are unsettled is dispatched SPECULATIVELY with the current
-// weights/penalties; when the preceding round settles, the speculation is
-// validated against the post-settle state and mis-speculated rounds are
-// re-dispatched with the true inputs under a fresh sequence number before
-// they may retire. Retirement is in strict submission order, each retired
-// round must settle before the next retires, and the settled trajectory
-// (allocations, critical payments, Q(t)/Z_i(t) backlogs) is bit-identical
-// to the serial engine at EVERY depth — speculation only changes wall
-// time (it wins when the budget queue is quiescent between rounds and
-// degrades gracefully to serial dispatch when every round moves Q).
-//
 // Lyapunov guarantees (verified empirically in E6): time-average welfare
 // within O(1/V) of the constrained optimum, queue backlog (and hence budget
 // violation transient) O(V).
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -58,10 +42,6 @@
 #include "auction/round_scratch.h"
 #include "auction/wdp_engine.h"
 #include "lyapunov/virtual_queue.h"
-
-namespace sfl::dist {
-class DistributedWdp;
-}  // namespace sfl::dist
 
 namespace sfl::core {
 
@@ -101,14 +81,6 @@ struct LtoVcgConfig {
   /// cross the real wire codec, results stay bit-identical to the
   /// in-process engines. 0 keeps the ShardedWdp engine.
   std::size_t dist_workers = 0;
-  /// Distributed round pipelining (requires dist_workers > 0 and the
-  /// critical-value payment rule): > 1 enables the submit_round /
-  /// retire_round_into API with this many per-round scratch lanes, so span
-  /// dispatch for round t+1 overlaps round t's straggler waits. Results
-  /// stay bit-identical to depth 1 at every depth (speculative dispatches
-  /// are validated at settle time and re-issued on mismatch). 1 = plain
-  /// synchronous rounds.
-  std::size_t dist_pipeline_depth = 1;
   /// Hedged dispatch with adaptive per-worker deadlines on the distributed
   /// engine (see DistributedWdpConfig::hedge): laggard shards are
   /// re-dispatched to the next live worker in rendezvous order before the
@@ -204,10 +176,9 @@ class LongTermOnlineVcgMechanism final : public sfl::auction::Mechanism {
   // are produced by the same code.
 
   /// Whether this instance's rounds may be cleared externally: the
-  /// critical-value payment rule with no pipelined rounds in flight.
+  /// critical-value payment rule.
   [[nodiscard]] bool supports_external_rounds() const noexcept {
-    return config_.payment_rule == PaymentRule::kCriticalValue &&
-           lane_count_ == 0;
+    return config_.payment_rule == PaymentRule::kCriticalValue;
   }
 
   /// Exports the next round's affine-maximizer inputs for `batch`: writes
@@ -228,62 +199,12 @@ class LongTermOnlineVcgMechanism final : public sfl::auction::Mechanism {
                              std::span<const double> payments,
                              sfl::auction::MechanismResult& out);
 
-  // --- pipelined round API (dist_pipeline_depth > 1) ------------------------
-
-  /// Speculation bookkeeping across a pipelined run. Every speculative
-  /// submission is validated exactly once (at its predecessor's settle), so
-  /// confirmed + redispatched == speculative once the pipeline drains.
-  struct PipelineStats {
-    std::size_t submitted = 0;     ///< rounds through submit_round
-    std::size_t speculative = 0;   ///< dispatched before inputs were final
-    std::size_t confirmed = 0;     ///< speculation validated unchanged
-    std::size_t redispatched = 0;  ///< mis-speculated, re-sent exact
-  };
-
-  /// Scratch lanes available for in-flight rounds (1 = pipelining off).
-  [[nodiscard]] std::size_t pipeline_depth() const noexcept {
-    return config_.dist_pipeline_depth;
-  }
-  [[nodiscard]] std::size_t rounds_in_flight() const noexcept {
-    return lane_count_;
-  }
-  [[nodiscard]] const PipelineStats& pipeline_stats() const noexcept {
-    return pipeline_stats_;
-  }
-
-  /// Dispatches one round's winner determination without waiting for it.
-  /// The caller owns `batch` and must keep it alive and unmodified until
-  /// the round retires. Requires pipeline_depth() > 1 and a free lane.
-  /// Rounds submitted while earlier rounds are unsettled go out with
-  /// speculative weights/penalties and are corrected at settle time.
-  void submit_round(const sfl::auction::CandidateBatch& batch,
-                    const sfl::auction::RoundContext& context);
-
-  /// Completes the OLDEST submitted round and publishes its winners and
-  /// critical payments into `out` — bit-identical to what run_round would
-  /// have produced at the same queue state. Each retired round must be
-  /// settled (settle()) before the next retire_round_into: the settle is
-  /// what fixes the next round's true inputs.
-  void retire_round_into(sfl::auction::MechanismResult& out);
-
-  /// The distributed engine behind the WdpEngine interface, or nullptr for
-  /// in-process configurations (exposed so tests and harnesses can script
-  /// transport faults).
-  [[nodiscard]] sfl::dist::DistributedWdp* distributed_engine() noexcept {
-    return dist_;
-  }
-
  private:
   /// Writes Z_i(t)*e_i penalties for the slate into `out` (cleared first;
   /// left empty when the sustainability queues are off).
   void penalties_into(std::span<const sfl::auction::ClientId> ids,
                       std::span<const double> energy_costs,
                       sfl::auction::Penalties& out);
-
-  /// Settle-time speculation check: the round just settled determines the
-  /// oldest in-flight round's true inputs — confirm its dispatch or
-  /// re-issue it with the corrected weights/penalties.
-  void confirm_pipeline_after_settle();
 
   /// Shared tail of the round paths: publishes winners/payments into `out`
   /// (reusing its capacity) and caches the winners for the observe() shim.
@@ -307,37 +228,12 @@ class LongTermOnlineVcgMechanism final : public sfl::auction::Mechanism {
   /// The WDP + payment engine: ShardedWdp in-process, DistributedWdp when
   /// config.dist_workers > 0 (selected once at construction).
   std::unique_ptr<sfl::auction::WdpEngine> wdp_;
-  /// Typed view of wdp_ when it is the distributed coordinator (nullptr
-  /// otherwise); the pipelined round API drives it directly.
-  sfl::dist::DistributedWdp* dist_ = nullptr;
   sfl::auction::RoundScratch scratch_;
   /// Leave-one-out buffers for the kVcgExternality payment rule (unused —
   /// and empty — under the critical-value rule).
   sfl::auction::OracleScratch oracle_scratch_;
   /// Reused Z-queue arrival accumulator (settle() stays allocation-free).
   std::vector<double> settle_arrivals_;
-
-  /// One in-flight pipelined round: its scratch lane (scores, survivors,
-  /// allocation, payments, dispatched penalties) plus what the mechanism
-  /// needs to publish and validate it.
-  struct PipelineLane {
-    sfl::auction::RoundScratch scratch;
-    const sfl::auction::CandidateBatch* batch = nullptr;
-    sfl::auction::ScoreWeights weights{};  ///< weights actually dispatched
-    std::uint64_t handle = 0;              ///< engine round handle
-    std::size_t max_winners = 0;
-    bool speculative = false;  ///< inputs unvalidated until previous settle
-  };
-  /// Ring of dist_pipeline_depth scratch lanes (empty when depth == 1).
-  std::vector<PipelineLane> pipe_lanes_;
-  std::size_t lane_head_ = 0;
-  std::size_t lane_count_ = 0;
-  /// A produced round's settlement has not been applied yet — the next
-  /// submission cannot know its true inputs and must go out speculative.
-  bool settle_pending_ = false;
-  /// Reused buffer for settle-time penalty revalidation.
-  sfl::auction::Penalties penalties_check_;
-  PipelineStats pipeline_stats_;
 
   /// Last round's winners (client, bid, energy) — consumed ONLY by the
   /// deprecated observe() shim, which must rebuild the settlement a legacy

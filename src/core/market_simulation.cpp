@@ -93,31 +93,21 @@ MarketResult run_market(sfl::auction::Mechanism& mechanism, const MarketSpec& sp
   result.payment_series.reserve(spec.rounds);
   result.cumulative_payment_series.reserve(spec.rounds);
 
-  auto* lto =
-      dynamic_cast<LongTermOnlineVcgMechanism*>(mechanism.underlying());
-  // Pipelined distributed rounds engage below for a bare (undecorated) LTO
-  // mechanism with dist_pipeline_depth > 1.
-  const bool pipelined = lto != nullptr && lto->pipeline_depth() > 1 &&
-                         mechanism.underlying() == &mechanism;
-  // Presence next round depends on this round's settled wins, so slates
-  // cannot be built speculatively ahead of retirement.
-  require(!spec.online.enabled || !pipelined,
-          "online arrival is incompatible with pipelined distributed rounds");
-
   // Streamed settlement: the settler applies settle() on the shared pool;
   // the flush barrier at the top of each round keeps stateful rules
   // scoring against fully-settled queues — bit-identical trajectories.
   // A mechanism that is already an async decorator (underlying() reaches
   // through it) streams on its own; stacking a second queue would double
-  // every copy and drain for zero extra overlap. The pipelined loop
-  // settles synchronously instead (see below).
+  // every copy and drain for zero extra overlap.
   std::optional<AsyncSettler> settler;
-  if (spec.async_settle && !pipelined && mechanism.underlying() == &mechanism) {
+  if (spec.async_settle && mechanism.underlying() == &mechanism) {
     settler.emplace(mechanism);
   }
 
-  // Round-pipeline buffers reused across rounds (zero-allocation steady
-  // state once capacities settle).
+  // Round buffers reused across rounds (zero-allocation steady state once
+  // capacities settle).
+  CandidateBatch batch;
+  batch.reserve(spec.num_clients);
   MechanismResult outcome;
   RoundSettlement settlement;
 
@@ -125,10 +115,7 @@ MarketResult run_market(sfl::auction::Mechanism& mechanism, const MarketSpec& sp
   // batch row i is client i; under online arrival absent (or budget-spent)
   // clients are skipped and `row_of` maps client ids back to their slate
   // rows (kNoRow when absent). Cost and bid draws happen in strict round
-  // order on their dedicated RNG streams, so the slate sequence is identical
-  // whether rounds execute one at a time or feed the pipelined mechanism
-  // ahead of retirement (pipelining excludes online mode, so row_of is the
-  // identity whenever lanes run ahead).
+  // order on their dedicated RNG streams.
   constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
   std::vector<std::size_t> row_of(spec.num_clients, kNoRow);
   const auto present = [&](std::size_t client, std::size_t round) {
@@ -136,9 +123,10 @@ MarketResult run_market(sfl::auction::Mechanism& mechanism, const MarketSpec& sp
     if (round < arrival[client] || round >= departure[client]) return false;
     return win_budget[client] == 0 || wins_used[client] < win_budget[client];
   };
-  const auto build_batch = [&](CandidateBatch& batch,
-                               const std::vector<double>& costs,
-                               std::size_t round) {
+
+  for (std::size_t round = 0; round < spec.rounds; ++round) {
+    if (settler.has_value()) settler->flush();
+    const std::vector<double> costs = cost_model.draw_round(cost_rng);
     batch.clear();
     for (std::size_t i = 0; i < spec.num_clients; ++i) {
       if (!present(i, round)) {
@@ -151,12 +139,22 @@ MarketResult run_market(sfl::auction::Mechanism& mechanism, const MarketSpec& sp
                                                             : truthful;
       batch.emplace(i, values[i], strategy.bid(costs[i], round, bid_rng), 1.0);
     }
-  };
 
-  // Records one completed round (called in strict round order) and leaves
-  // its settlement in `settlement` for the caller to report.
-  const auto record_round = [&](std::size_t round, const CandidateBatch& batch,
-                                const std::vector<double>& costs) {
+    RoundContext context;
+    context.round = round;
+    context.max_winners = spec.max_winners;
+    context.per_round_budget = spec.per_round_budget;
+
+    outcome.winners.clear();
+    outcome.payments.clear();
+    if (batch.empty()) {
+      // Online gap round with nobody present: skip the mechanism's WDP
+      // but still record and settle the (empty) round, so budget-queue
+      // service keeps replenishing on the wall clock.
+    } else {
+      mechanism.run_round_into(batch, context, outcome);
+    }
+
     double round_welfare = 0.0;
     settlement.round = round;
     settlement.total_payment = 0.0;
@@ -187,78 +185,10 @@ MarketResult run_market(sfl::auction::Mechanism& mechanism, const MarketSpec& sp
     result.welfare_series.push_back(round_welfare);
     result.payment_series.push_back(round_payment);
     result.cumulative_payment_series.push_back(budget.cumulative_payment());
-  };
-
-  // Pipelined distributed rounds: the mechanism is fed up to `depth` rounds
-  // ahead on per-round batch lanes, and completed rounds retire + settle in
-  // strict round order — span dispatch for round t+1 overlaps round t's
-  // straggler waits while the settled trajectory stays bit-identical to the
-  // synchronous loop (the pipelined soak suite enforces exact equality).
-  // Settlement is synchronous here by design: the settle is the event that
-  // validates the next round's speculative dispatch, so it cannot trail on
-  // the async settler (spec.async_settle is ignored on this path).
-  if (pipelined) {
-    struct RoundLane {
-      CandidateBatch batch;
-      std::vector<double> costs;
-      std::size_t round = 0;
-    };
-    const std::size_t depth = std::min(lto->pipeline_depth(), spec.rounds);
-    std::vector<RoundLane> lanes(depth);
-    for (RoundLane& lane : lanes) lane.batch.reserve(spec.num_clients);
-
-    std::size_t next_round = 0;
-    const auto submit_next = [&] {
-      RoundLane& lane = lanes[next_round % depth];
-      lane.round = next_round;
-      lane.costs = cost_model.draw_round(cost_rng);
-      build_batch(lane.batch, lane.costs, next_round);
-      RoundContext context;
-      context.round = next_round;
-      context.max_winners = spec.max_winners;
-      context.per_round_budget = spec.per_round_budget;
-      lto->submit_round(lane.batch, context);
-      ++next_round;
-    };
-
-    while (next_round < depth) submit_next();
-    for (std::size_t round = 0; round < spec.rounds; ++round) {
-      const RoundLane& lane = lanes[round % depth];
-      outcome.winners.clear();
-      outcome.payments.clear();
-      lto->retire_round_into(outcome);
-      record_round(lane.round, lane.batch, lane.costs);
+    if (settler.has_value()) {
+      settler->enqueue(settlement);  // swap semantics: storage is recycled
+    } else {
       mechanism.settle(settlement);
-      if (next_round < spec.rounds) submit_next();
-    }
-  } else {
-    CandidateBatch batch;
-    batch.reserve(spec.num_clients);
-    for (std::size_t round = 0; round < spec.rounds; ++round) {
-      if (settler.has_value()) settler->flush();
-      const std::vector<double> costs = cost_model.draw_round(cost_rng);
-      build_batch(batch, costs, round);
-
-      RoundContext context;
-      context.round = round;
-      context.max_winners = spec.max_winners;
-      context.per_round_budget = spec.per_round_budget;
-
-      outcome.winners.clear();
-      outcome.payments.clear();
-      if (batch.empty()) {
-        // Online gap round with nobody present: skip the mechanism's WDP
-        // but still record and settle the (empty) round, so budget-queue
-        // service keeps replenishing on the wall clock.
-      } else {
-        mechanism.run_round_into(batch, context, outcome);
-      }
-      record_round(round, batch, costs);
-      if (settler.has_value()) {
-        settler->enqueue(settlement);  // swap semantics: storage is recycled
-      } else {
-        mechanism.settle(settlement);
-      }
     }
   }
 
@@ -279,7 +209,9 @@ MarketResult run_market(sfl::auction::Mechanism& mechanism, const MarketSpec& sp
   result.client_utilities = ledger.utility_vector();
   result.participation_counts = ledger.participation_vector();
   result.ir_fraction = ledger.individually_rational_fraction();
-  if (lto != nullptr) {
+  if (const auto* lto = dynamic_cast<const LongTermOnlineVcgMechanism*>(
+          mechanism.underlying());
+      lto != nullptr) {
     result.final_budget_backlog = lto->budget_backlog();
     result.average_budget_backlog = lto->average_budget_backlog();
   }
@@ -343,7 +275,7 @@ MultiRequesterResult run_multi_requester_market(const MultiRequesterSpec& spec,
         dynamic_cast<LongTermOnlineVcgMechanism*>(owners.back()->underlying());
     require(requester != nullptr && requester->supports_external_rounds(),
             "multi-requester market requires an LTO mechanism supporting "
-            "external rounds (critical-value payments, no pipelining)");
+            "external rounds (critical-value payments)");
     requesters.push_back(requester);
   }
 

@@ -53,14 +53,9 @@ struct MarketSpec {
   /// core::AsyncSettler on the shared pool, with a flush barrier before
   /// each run_round and before final queue reads — results are
   /// bit-identical to the synchronous path (the async determinism suite
-  /// enforces this for every registry mechanism). Ignored when the
-  /// mechanism pipelines distributed rounds (dist_pipeline_depth > 1):
-  /// that loop settles synchronously, because each settle validates the
-  /// next round's speculative dispatch.
+  /// enforces this for every registry mechanism).
   bool async_settle = false;
-  /// Streaming arrival/departure with per-client win budgets. Incompatible
-  /// with pipelined distributed rounds (presence depends on settled
-  /// outcomes, so slates cannot be built speculatively ahead).
+  /// Streaming arrival/departure with per-client win budgets.
   OnlineArrivalSpec online{};
   std::uint64_t seed = 7;
 };
@@ -162,7 +157,7 @@ struct MultiRequesterResult {
 
 /// Runs the multi-requester market for spec.rounds rounds; `mechanism` is a
 /// registry key whose underlying mechanism must be an LTO instance
-/// supporting external rounds (critical-value payments, no pipelining).
+/// supporting external rounds (critical-value payments).
 /// Settlement is applied synchronously per requester, so results are
 /// deterministic in the seed for every such key and every shard count.
 [[nodiscard]] MultiRequesterResult run_multi_requester_market(

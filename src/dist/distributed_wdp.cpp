@@ -21,15 +21,6 @@ using sfl::util::require;
 
 namespace {
 
-/// Empty penalties passed as a temporary ({} at the call site) would leave
-/// a dangling lane pointer once submit() returns; alias them to one static
-/// instance instead. Non-empty penalties are caller-owned until retirement,
-/// like the batch and the scratch.
-const Penalties& stable_penalties(const Penalties& penalties) {
-  static const Penalties kEmpty{};
-  return penalties.empty() ? kEmpty : penalties;
-}
-
 // Adaptive-deadline tuning (see DistributedWdpConfig::hedge). Floors and
 // warm-up are deliberately not knobs: they guard the estimator, not policy.
 /// Samples before a worker's own statistics drive its deadline.
@@ -68,12 +59,9 @@ DistributedWdp::DistributedWdp(DistributedWdpConfig config,
           sfl::auction::ShardedWdpConfig{.shards = 1})) {
   require(config_.max_attempts_per_shard >= 1,
           "need at least one dispatch attempt per shard");
-  require(config_.pipeline_depth >= 1,
-          "pipeline depth must be >= 1 (1 = strictly serial rounds)");
   require(config_.latency_prior.empty() ||
               config_.latency_prior.size() == transport_->worker_count(),
           "latency prior must be empty or one entry per transport worker");
-  lanes_.resize(config_.pipeline_depth);
   worker_dead_.assign(transport_->worker_count(), false);
   worker_departed_.assign(transport_->worker_count(), false);
   if (config_.latency_prior.empty()) {
@@ -97,34 +85,26 @@ std::size_t DistributedWdp::effective_shards(std::size_t n) const {
   return std::min(std::max<std::size_t>(shards, 1), n);
 }
 
-DistributedWdp::Lane* DistributedWdp::lane_for_seq(std::uint64_t seq) const {
-  for (std::size_t offset = 0; offset < count_; ++offset) {
-    Lane& lane = lane_at(offset);
-    if (lane.seq == seq) return &lane;
-  }
-  return nullptr;
-}
-
-void DistributedWdp::fill_request(const Lane& lane, std::size_t shard) const {
+void DistributedWdp::fill_request(std::size_t shard) const {
   const auto [begin, end] =
-      sfl::util::ThreadPool::chunk_range(lane.n, lane.shards, shard);
-  request_.round = lane.seq;
+      sfl::util::ThreadPool::chunk_range(lane_.n, lane_.shards, shard);
+  request_.round = lane_.seq;
   request_.shard = static_cast<std::uint32_t>(shard);
-  request_.shard_count = static_cast<std::uint32_t>(lane.shards);
+  request_.shard_count = static_cast<std::uint32_t>(lane_.shards);
   request_.begin = begin;
-  request_.max_winners = lane.max_winners;
-  request_.weights = lane.weights;
-  const std::span<const sfl::auction::ClientId> ids = lane.batch->ids();
-  const std::span<const double> values = lane.batch->values();
-  const std::span<const double> bids = lane.batch->bids();
+  request_.max_winners = lane_.max_winners;
+  request_.weights = lane_.weights;
+  const std::span<const sfl::auction::ClientId> ids = lane_.batch->ids();
+  const std::span<const double> values = lane_.batch->values();
+  const std::span<const double> bids = lane_.batch->bids();
   request_.ids.assign(ids.begin() + begin, ids.begin() + end);
   request_.values.assign(values.begin() + begin, values.begin() + end);
   request_.bids.assign(bids.begin() + begin, bids.begin() + end);
-  if (lane.penalties->empty()) {
+  if (lane_.penalties->empty()) {
     request_.penalties.clear();
   } else {
-    request_.penalties.assign(lane.penalties->begin() + begin,
-                              lane.penalties->begin() + end);
+    request_.penalties.assign(lane_.penalties->begin() + begin,
+                              lane_.penalties->begin() + end);
   }
 }
 
@@ -158,7 +138,7 @@ std::size_t DistributedWdp::home_worker(std::size_t shard) const {
   return transport_->worker_count();
 }
 
-bool DistributedWdp::dispatch(Lane& lane, std::size_t shard) const {
+bool DistributedWdp::dispatch(std::size_t shard) const {
   const std::size_t workers = transport_->worker_count();
   encode(request_, frame_);
   // Attempt k goes to the k-th live worker of the shard's rendezvous order
@@ -168,7 +148,7 @@ bool DistributedWdp::dispatch(Lane& lane, std::size_t shard) const {
   // workers are skipped; a send() that throws marks its worker dead and
   // moves on.
   rendezvous_order(shard);
-  const std::size_t start = lane.attempts[shard] - 1;
+  const std::size_t start = lane_.attempts[shard] - 1;
   for (std::size_t offset = 0; offset < workers; ++offset) {
     const std::size_t worker = rank_scratch_[(start + offset) % workers].second;
     if (!worker_live(worker)) continue;
@@ -180,16 +160,16 @@ bool DistributedWdp::dispatch(Lane& lane, std::size_t shard) const {
       continue;
     }
     ++stats_.dispatches;
-    lane.last_worker[shard] = worker;
-    lane.last_sent[shard] = std::chrono::steady_clock::now();
-    outstanding_.push_back(AttemptRecord{.seq = lane.seq,
+    lane_.last_worker[shard] = worker;
+    lane_.last_sent[shard] = std::chrono::steady_clock::now();
+    outstanding_.push_back(AttemptRecord{.seq = lane_.seq,
                                          .shard = static_cast<std::uint32_t>(shard),
                                          .worker = worker,
-                                         .sent = lane.last_sent[shard]});
+                                         .sent = lane_.last_sent[shard]});
     // Eager hedge: a chronically slow home gets a shadow dispatch to the
     // next live worker immediately — first valid reply wins, the loser is
     // deduplicated, and the straggler keeps being measured.
-    if (config_.hedge && lane.attempts[shard] == 1 &&
+    if (config_.hedge && lane_.attempts[shard] == 1 &&
         chronic_straggler(worker)) {
       for (std::size_t step = 1; step < workers; ++step) {
         const std::size_t mate =
@@ -205,7 +185,7 @@ bool DistributedWdp::dispatch(Lane& lane, std::size_t shard) const {
         ++stats_.dispatches;
         ++stats_.hedged_dispatches;
         outstanding_.push_back(
-            AttemptRecord{.seq = lane.seq,
+            AttemptRecord{.seq = lane_.seq,
                           .shard = static_cast<std::uint32_t>(shard),
                           .worker = mate,
                           .sent = std::chrono::steady_clock::now()});
@@ -260,17 +240,16 @@ std::chrono::microseconds DistributedWdp::deadline_for(
   return std::clamp(deadline, kHedgeFloor, std::max(timeout, kHedgeFloor));
 }
 
-std::chrono::milliseconds DistributedWdp::recovery_wait(
-    const Lane& lane) const {
+std::chrono::milliseconds DistributedWdp::recovery_wait() const {
   if (!config_.hedge) return config_.receive_timeout;
   const auto now = std::chrono::steady_clock::now();
   auto soonest = std::chrono::duration_cast<std::chrono::microseconds>(
       config_.receive_timeout);
-  for (std::size_t shard = 0; shard < lane.shards; ++shard) {
-    if (lane.shard_done[shard]) continue;
-    const auto deadline = deadline_for(lane.last_worker[shard]);
+  for (std::size_t shard = 0; shard < lane_.shards; ++shard) {
+    if (lane_.shard_done[shard]) continue;
+    const auto deadline = deadline_for(lane_.last_worker[shard]);
     const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-        now - lane.last_sent[shard]);
+        now - lane_.last_sent[shard]);
     soonest = std::min(
         soonest, deadline > elapsed ? deadline - elapsed
                                     : std::chrono::microseconds{0});
@@ -280,41 +259,28 @@ std::chrono::milliseconds DistributedWdp::recovery_wait(
   return std::chrono::ceil<std::chrono::milliseconds>(soonest);
 }
 
-void DistributedWdp::purge_outstanding(std::uint64_t seq) const {
-  std::erase_if(outstanding_,
-                [seq](const AttemptRecord& r) { return r.seq == seq; });
-}
-
-void DistributedWdp::recompute_locally(Lane& lane, std::size_t shard) const {
+void DistributedWdp::recompute_locally(std::size_t shard) const {
   // Exact worker math on the exact request content — a recovered span is
   // indistinguishable from a delivered one.
-  fill_request(lane, shard);
+  fill_request(shard);
   compute_survivors(request_, reply_);
   for (const SurvivorEntry& entry : reply_.survivors) {
-    lane.scratch->scores[entry.index] = entry.score;
-    lane.scratch->survivors.push_back(static_cast<std::size_t>(entry.index));
+    lane_.scratch->scores[entry.index] = entry.score;
+    lane_.scratch->survivors.push_back(static_cast<std::size_t>(entry.index));
   }
-  lane.shard_done[shard] = true;
-  --lane.remaining;
+  lane_.shard_done[shard] = true;
+  --lane_.remaining;
   ++stats_.local_recomputes;
 }
 
-void DistributedWdp::recover(Lane& lane, std::size_t shard) const {
+void DistributedWdp::recover(std::size_t shard) const {
   if (!config_.allow_local_fallback) {
     throw DistributedWdpError(
         "distributed WDP: shard " + std::to_string(shard) + " lost after " +
-        std::to_string(lane.attempts[shard]) +
+        std::to_string(lane_.attempts[shard]) +
         " dispatch attempts and local fallback is disabled");
   }
-  recompute_locally(lane, shard);
-}
-
-void DistributedWdp::dispatch_all(Lane& lane) const {
-  for (std::size_t shard = 0; shard < lane.shards; ++shard) {
-    lane.attempts[shard] = 1;
-    fill_request(lane, shard);
-    if (!dispatch(lane, shard)) recover(lane, shard);
-  }
+  recompute_locally(shard);
 }
 
 void DistributedWdp::handle_frame() const {
@@ -403,13 +369,12 @@ void DistributedWdp::accept_reply() const {
       }
     }
   }
-  // Route by dispatch generation: the sequence number names exactly one
-  // active lane. Retired rounds and abandoned (re-dispatched, resubmitted)
-  // generations match nothing and are dropped — a stale frame can never be
-  // merged into a different round, whatever the pipeline depth.
-  Lane* const lane = lane_for_seq(reply_.round);
-  if (lane == nullptr || reply_.shard >= lane->shards ||
-      lane->shard_done[reply_.shard]) {
+  // Only the open round's sequence number is accepted: replies from
+  // earlier rounds (finished, or failed with DistributedWdpError) are
+  // dropped — a stale frame can never be merged into a different round,
+  // even one with identical span geometry.
+  if (lane_.seq == 0 || reply_.round != lane_.seq ||
+      reply_.shard >= lane_.shards || lane_.shard_done[reply_.shard]) {
     ++stats_.ignored_replies;
     return;
   }
@@ -418,34 +383,30 @@ void DistributedWdp::accept_reply() const {
   // else is a corrupt-but-checksummed or byzantine frame and is rejected
   // (the recovery path re-covers the shard).
   const auto [begin, end] =
-      sfl::util::ThreadPool::chunk_range(lane->n, lane->shards, reply_.shard);
+      sfl::util::ThreadPool::chunk_range(lane_.n, lane_.shards, reply_.shard);
   const std::size_t span = end - begin;
-  const std::size_t local_cap = std::min(lane->max_winners + 1, lane->n);
+  const std::size_t local_cap = std::min(lane_.max_winners + 1, lane_.n);
   const std::size_t expected = std::min(local_cap, span);
-  if (reply_.shard_count != lane->shards || reply_.begin != begin ||
+  if (reply_.shard_count != lane_.shards || reply_.begin != begin ||
       reply_.count != span || reply_.survivors.size() != expected) {
     ++stats_.rejected_replies;
     return;
   }
   for (const SurvivorEntry& entry : reply_.survivors) {
-    lane->scratch->scores[entry.index] = entry.score;
-    lane->scratch->survivors.push_back(static_cast<std::size_t>(entry.index));
+    lane_.scratch->scores[entry.index] = entry.score;
+    lane_.scratch->survivors.push_back(static_cast<std::size_t>(entry.index));
   }
-  lane->shard_done[reply_.shard] = true;
-  --lane->remaining;
+  lane_.shard_done[reply_.shard] = true;
+  --lane_.remaining;
 }
 
-void DistributedWdp::collect(Lane& lane) const {
-  // Collect + recovery loop for the round being retired. Replies for
-  // younger in-flight rounds pumped up along the way are banked into their
-  // own lanes; recovery touches only THIS round (younger rounds get their
-  // recovery passes when they become the oldest). Terminates: every
-  // recovery sweep either resolves one of this round's shards locally or
-  // increments its bounded attempt count, and a sweep that touches nothing
-  // (every unresolved shard inside its deadline) shortens the next wait to
-  // that soonest deadline.
-  while (lane.remaining > 0) {
-    const std::chrono::milliseconds wait = recovery_wait(lane);
+void DistributedWdp::collect() const {
+  // Collect + recovery loop. Terminates: every recovery sweep either
+  // resolves one of the round's shards locally or increments its bounded
+  // attempt count, and a sweep that touches nothing (every unresolved shard
+  // inside its deadline) shortens the next wait to that soonest deadline.
+  while (lane_.remaining > 0) {
+    const std::chrono::milliseconds wait = recovery_wait();
     const auto asked = std::chrono::steady_clock::now();
     if (transport_->receive(frame_, wait)) {
       handle_frame();
@@ -458,46 +419,42 @@ void DistributedWdp::collect(Lane& lane) const {
     // against.
     const auto waited = std::chrono::steady_clock::now() - asked;
     const bool timed_out = waited + waited >= wait;
-    recovery_pass(lane, /*only_blown=*/config_.hedge && timed_out);
+    recovery_pass(/*only_blown=*/config_.hedge && timed_out);
   }
 }
 
-void DistributedWdp::recovery_pass(Lane& lane, bool only_blown) const {
+void DistributedWdp::recovery_pass(bool only_blown) const {
   const auto now = std::chrono::steady_clock::now();
-  for (std::size_t shard = 0; shard < lane.shards && lane.remaining > 0;
+  for (std::size_t shard = 0; shard < lane_.shards && lane_.remaining > 0;
        ++shard) {
-    if (lane.shard_done[shard]) continue;
-    if (only_blown &&
-        now - lane.last_sent[shard] < deadline_for(lane.last_worker[shard])) {
+    if (lane_.shard_done[shard]) continue;
+    if (only_blown && now - lane_.last_sent[shard] <
+                          deadline_for(lane_.last_worker[shard])) {
       continue;  // its worker is still inside its own latency envelope
     }
-    if (lane.attempts[shard] >= config_.max_attempts_per_shard) {
-      recover(lane, shard);
+    if (lane_.attempts[shard] >= config_.max_attempts_per_shard) {
+      recover(shard);
       continue;
     }
     // A hedge, not an abandonment: the sequence number stays, so the
     // original attempt's reply remains valid — first valid reply per shard
-    // wins and the per-lane dedupe drops the loser.
-    ++lane.attempts[shard];
+    // wins and the per-shard dedupe drops the loser.
+    ++lane_.attempts[shard];
     ++stats_.redispatches;
     if (config_.hedge) ++stats_.hedged_dispatches;
-    fill_request(lane, shard);
-    if (!dispatch(lane, shard)) recover(lane, shard);
+    fill_request(shard);
+    if (!dispatch(shard)) recover(shard);
   }
 }
 
-void DistributedWdp::merge(Lane& lane) const {
+void DistributedWdp::merge() const {
   // Merge: identical to ShardedWdp — the survivor multiset is the same for
   // any routing/fault history, and the strict total order makes the sorted
   // sequence (hence allocation and threshold) a pure function of the batch.
-  RoundScratch& scratch = *lane.scratch;
-  Allocation& allocation = scratch.allocation;
-  allocation.selected.clear();
-  allocation.total_score = 0.0;
-  if (lane.n == 0) return;
-
+  RoundScratch& scratch = *lane_.scratch;
+  Allocation& allocation = scratch.allocation;  // cleared by select_top_m
   double* const scores = scratch.scores.data();
-  const std::span<const sfl::auction::ClientId> ids = lane.batch->ids();
+  const std::span<const sfl::auction::ClientId> ids = lane_.batch->ids();
   const auto better = [scores, ids](std::size_t a, std::size_t b) {
     if (scores[a] != scores[b]) return scores[a] > scores[b];
     if (ids[a] != ids[b]) return ids[a] < ids[b];
@@ -506,7 +463,7 @@ void DistributedWdp::merge(Lane& lane) const {
   std::sort(scratch.survivors.begin(), scratch.survivors.end(), better);
 
   const std::size_t prefix =
-      std::min(lane.max_winners, scratch.survivors.size());
+      std::min(lane_.max_winners, scratch.survivors.size());
   for (std::size_t k = 0; k < prefix; ++k) {
     const std::size_t index = scratch.survivors[k];
     if (scores[index] <= 0.0) break;  // merged order; the rest are <= 0 too
@@ -516,137 +473,12 @@ void DistributedWdp::merge(Lane& lane) const {
   std::sort(allocation.selected.begin(), allocation.selected.end());
 }
 
-void DistributedWdp::release_lane(Lane& lane) const {
-  purge_outstanding(lane.seq);
-  lane.batch = nullptr;
-  lane.penalties = nullptr;
-  lane.scratch = nullptr;
-  lane.seq = 0;
-}
-
-void DistributedWdp::pop_oldest_lane() const {
-  release_lane(lanes_[head_]);
-  head_ = (head_ + 1) % lanes_.size();
-  --count_;
-}
-
-DistributedWdp::RoundHandle DistributedWdp::submit(
-    const CandidateBatch& batch, const ScoreWeights& weights,
-    std::size_t max_winners, const Penalties& penalties,
-    RoundScratch& scratch) const {
-  // Same preconditions as the in-process engines, checked at dispatch time.
-  require(weights.bid_weight > 0.0,
-          "bid weight must be > 0 (otherwise bids do not matter)");
-  require(weights.value_weight >= 0.0, "value weight must be >= 0");
-  require(penalties.empty() || penalties.size() == batch.size(),
-          "penalties must be empty or one per candidate");
-  require(count_ < lanes_.size(),
-          "distributed WDP pipeline is full: retire a round before "
-          "submitting another");
-  if (sfl::util::validate_mode_enabled()) validate_batch(batch);
-
-  // Synchronous callers (empty pipeline) keep per-round stats; a pipelined
-  // burst accumulates until it drains.
-  if (count_ == 0) stats_ = RoundStats{};
-
-  Lane& lane = lanes_[(head_ + count_) % lanes_.size()];
-  ++count_;
-  lane.handle = ++handle_counter_;
-  lane.seq = ++seq_counter_;
-  lane.batch = &batch;
-  lane.penalties = &stable_penalties(penalties);
-  lane.scratch = &scratch;
-  lane.weights = weights;
-  lane.max_winners = max_winners;
-  lane.n = batch.size();
-
-  scratch.order.clear();
-  scratch.survivors.clear();
-  scratch.allocation.selected.clear();
-  scratch.allocation.total_score = 0.0;
-  if (lane.n == 0) {
-    scratch.scores.clear();
-    lane.shards = 0;
-    lane.remaining = 0;
-    return lane.handle;
-  }
-  scratch.scores.resize(lane.n);
-  lane.shards = effective_shards(lane.n);
-  lane.shard_done.assign(lane.shards, false);
-  lane.attempts.assign(lane.shards, 0);
-  lane.last_worker.assign(lane.shards, 0);
-  lane.last_sent.assign(lane.shards, std::chrono::steady_clock::now());
-  lane.remaining = lane.shards;
-  try {
-    dispatch_all(lane);
-  } catch (...) {
-    // Fallback disabled and a span unreachable: the round was never
-    // submitted. The newest lane is at the tail, so dropping it leaves
-    // every older in-flight round untouched (its seq goes stale).
-    --count_;
-    release_lane(lane);
-    throw;
-  }
-  return lane.handle;
-}
-
-void DistributedWdp::resubmit(RoundHandle handle, const ScoreWeights& weights,
-                              const Penalties& penalties) const {
-  require(weights.bid_weight > 0.0,
-          "bid weight must be > 0 (otherwise bids do not matter)");
-  require(weights.value_weight >= 0.0, "value weight must be >= 0");
-  Lane* target = nullptr;
-  for (std::size_t offset = 0; offset < count_; ++offset) {
-    Lane& lane = lane_at(offset);
-    if (lane.handle == handle) {
-      target = &lane;
-      break;
-    }
-  }
-  require(target != nullptr, "resubmit: no such in-flight round");
-  require(penalties.empty() || penalties.size() == target->n,
-          "penalties must be empty or one per candidate");
-  Lane& lane = *target;
-  lane.weights = weights;
-  lane.penalties = &stable_penalties(penalties);
-  ++stats_.resubmits;
-  if (lane.n == 0) return;
-  // Abandon the old generation: a fresh sequence number means every reply
-  // the previous dispatch may still produce matches no lane and is
-  // ignored; survivors already banked under the old inputs are discarded,
-  // and so is the old generation's latency bookkeeping.
-  purge_outstanding(lane.seq);
-  lane.seq = ++seq_counter_;
-  lane.scratch->survivors.clear();
-  lane.shard_done.assign(lane.shards, false);
-  lane.attempts.assign(lane.shards, 0);
-  lane.last_worker.assign(lane.shards, 0);
-  lane.last_sent.assign(lane.shards, std::chrono::steady_clock::now());
-  lane.remaining = lane.shards;
-  dispatch_all(lane);
-}
-
-DistributedWdp::RoundHandle DistributedWdp::retire_oldest() const {
-  require(count_ > 0, "retire_oldest: no rounds in flight");
-  Lane& lane = lanes_[head_];
-  const RoundHandle handle = lane.handle;
-  try {
-    collect(lane);
-    merge(lane);
-    if (lane.n > 0) {
-      pricer_->critical_payments(*lane.batch, lane.weights, lane.max_winners,
-                                 *lane.penalties, *lane.scratch);
-    } else {
-      lane.scratch->payments.clear();
-    }
-  } catch (...) {
-    // An unrecoverable round is abandoned; younger in-flight rounds stay
-    // valid and retirable (their sequences still route).
-    pop_oldest_lane();
-    throw;
-  }
-  pop_oldest_lane();
-  return handle;
+void DistributedWdp::release_lane() const {
+  outstanding_.clear();
+  lane_.batch = nullptr;
+  lane_.penalties = nullptr;
+  lane_.scratch = nullptr;
+  lane_.seq = 0;
 }
 
 const Allocation& DistributedWdp::select_top_m(const CandidateBatch& batch,
@@ -654,19 +486,53 @@ const Allocation& DistributedWdp::select_top_m(const CandidateBatch& batch,
                                                std::size_t max_winners,
                                                const Penalties& penalties,
                                                RoundScratch& scratch) const {
-  require(count_ == 0,
-          "synchronous select_top_m requires an empty pipeline (use the "
-          "submit/retire_oldest API for in-flight rounds)");
-  submit(batch, weights, max_winners, penalties, scratch);
-  Lane& lane = lanes_[head_];
+  // Same preconditions as the in-process engines, checked at dispatch time.
+  require(weights.bid_weight > 0.0,
+          "bid weight must be > 0 (otherwise bids do not matter)");
+  require(weights.value_weight >= 0.0, "value weight must be >= 0");
+  require(penalties.empty() || penalties.size() == batch.size(),
+          "penalties must be empty or one per candidate");
+  if (sfl::util::validate_mode_enabled()) validate_batch(batch);
+
+  stats_ = RoundStats{};
+  scratch.order.clear();
+  scratch.survivors.clear();
+  scratch.allocation.selected.clear();
+  scratch.allocation.total_score = 0.0;
+  if (batch.empty()) {
+    scratch.scores.clear();
+    return scratch.allocation;
+  }
+
+  // A fresh sequence number per round: every reply still in flight from an
+  // earlier round is ignored from here on.
+  lane_.seq = ++seq_counter_;
+  lane_.batch = &batch;
+  lane_.penalties = &penalties;
+  lane_.scratch = &scratch;
+  lane_.weights = weights;
+  lane_.max_winners = max_winners;
+  lane_.n = batch.size();
+  lane_.shards = effective_shards(lane_.n);
+  lane_.shard_done.assign(lane_.shards, false);
+  lane_.attempts.assign(lane_.shards, 1);
+  lane_.last_worker.assign(lane_.shards, 0);
+  lane_.last_sent.assign(lane_.shards, std::chrono::steady_clock::now());
+  lane_.remaining = lane_.shards;
+  scratch.scores.resize(lane_.n);
   try {
-    collect(lane);
-    merge(lane);
+    for (std::size_t shard = 0; shard < lane_.shards; ++shard) {
+      fill_request(shard);
+      if (!dispatch(shard)) recover(shard);
+    }
+    collect();
+    merge();
   } catch (...) {
-    pop_oldest_lane();
+    // An unrecoverable round is abandoned; its sequence number goes stale.
+    release_lane();
     throw;
   }
-  pop_oldest_lane();
+  release_lane();
   return scratch.allocation;
 }
 

@@ -1,5 +1,5 @@
 // DistributedWdp: the winner-determination engine distributed over a
-// ShardTransport, with optional multi-round pipelining.
+// ShardTransport.
 //
 // The PR-2 select-then-merge decomposition made the merge step consume only
 // per-shard top-(m+1) survivor sets — a natural network boundary. This
@@ -13,25 +13,13 @@
 // payments are BIT-IDENTICAL to the serial path for any shard count, any
 // worker count, and any reply arrival order.
 //
-// Round lanes (PR 5): the coordinator state machine is a ring of up to
-// `pipeline_depth` in-flight round contexts, each owning its caller-provided
-// RoundScratch plus per-round merge state (shard completion, attempt counts,
-// stats) keyed by a monotonically increasing round sequence number. The
-// async API —
-//
-//   submit(batch, weights, m, penalties, scratch)  -> RoundHandle
-//   resubmit(handle, weights, penalties)           // replace inputs, new seq
-//   retire_oldest()                                // complete + merge + price
-//
-// — lets round t+1's span dispatch proceed while round t still awaits
-// straggler replies: every received frame is validated against the lane its
-// sequence number names (span bounds, shard count, survivor count), frames
-// whose sequence matches no active lane (retired rounds, abandoned
-// re-dispatch generations) are ignored, and rounds RETIRE IN STRICT
-// SUBMISSION ORDER, so a reply can never be merged into the wrong round no
-// matter how the transport delays, duplicates, or reorders it. The classic
-// synchronous WdpEngine entry points still work (they submit and retire one
-// round inline) and require an empty pipeline.
+// Rounds are synchronous: select_top_m dispatches, collects, recovers and
+// merges one round inline. Every round gets a fresh, monotonically
+// increasing sequence number, and a reply is accepted only when its
+// sequence names the round being collected — a frame delayed or duplicated
+// out of an earlier round (or out of a round that failed with
+// DistributedWdpError) is ignored even when the two rounds have identical
+// span geometry.
 //
 // Coordinator state machine per round:
 //   dispatch   — every shard is encoded and sent to its HOME worker: the
@@ -41,29 +29,28 @@
 //                the shards whose winner changed (chronic stragglers are
 //                hedged eagerly — see DistributedWdpConfig::hedge);
 //   collect    — replies are decoded, validated (codec checksum + sequence
-//                lookup + span and survivor-count checks against that
+//                check + span and survivor-count checks against this
 //                round's dispatch), deduplicated by shard id, and frames
-//                from retired or abandoned sequences dropped; kWorkerHello
-//                / kWorkerGoodbye frames update the fleet view;
-//   recover    — while a round is being retired, a blown adaptive
-//                per-worker deadline (hedging on) or receive timeout
-//                re-dispatches every affected shard of THAT round to the
+//                from earlier sequences dropped; kWorkerHello /
+//                kWorkerGoodbye frames update the fleet view;
+//   recover    — a blown adaptive per-worker deadline (hedging on) or
+//                receive timeout re-dispatches every affected shard to the
 //                next live worker in rendezvous order WITHOUT abandoning
-//                the original attempt; after max_attempts_per_shard dispatches
-//                (or with no live worker left) the span is recomputed
-//                locally with the same worker math — or, when local
-//                fallback is disabled, the round fails with the typed
-//                DistributedWdpError (younger in-flight rounds stay valid);
+//                the original attempt; after max_attempts_per_shard
+//                dispatches (or with no live worker left) the span is
+//                recomputed locally with the same worker math — or, when
+//                local fallback is disabled, the round fails with the typed
+//                DistributedWdpError;
 //   merge      — identical to ShardedWdp: survivors sorted under (score
 //                desc, ClientId asc, index asc), top-m positive prefix,
 //                threshold payment off the merged order.
 //
 // Determinism: each round's RESULT is a pure function of its (batch,
-// weights, penalties, m, shard count) — faults, reply order, pipeline depth,
-// and worker routing only affect wall time and the stats counters.
-// effective_shards defaults to the transport's worker count (never hardware
-// concurrency), so a distributed deployment's allocation is reproducible on
-// any coordinator host.
+// weights, penalties, m, shard count) — faults, reply order, and worker
+// routing only affect wall time and the stats counters. effective_shards
+// defaults to the transport's worker count (never hardware concurrency),
+// so a distributed deployment's allocation is reproducible on any
+// coordinator host.
 //
 // One engine instance is ONE single-threaded coordinator: all calls must
 // come from one thread at a time (the transport and the reusable codec
@@ -90,8 +77,8 @@ namespace sfl::dist {
 
 /// A round could not be completed: shards were lost and local recomputation
 /// was disabled. The engine is reusable after catching this (the failed
-/// round is abandoned; its sequence numbers invalidate every stale frame,
-/// and younger in-flight rounds remain retirable).
+/// round is abandoned and its sequence number invalidates every stale
+/// frame).
 class DistributedWdpError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -106,12 +93,6 @@ struct DistributedWdpConfig {
   /// Loopback worker count when the engine builds its own transport
   /// (constructor called without one).
   std::size_t workers = 2;
-  /// Maximum rounds in flight at once (>= 1). 1 reproduces the strictly
-  /// serial coordinator; K lets submit() dispatch round t+K-1's spans while
-  /// round t still awaits stragglers. Depth NEVER changes results, only
-  /// wall time: every round is validated against its own lane and retires
-  /// in submission order.
-  std::size_t pipeline_depth = 1;
   /// How long one collect wait may block before the recovery step runs.
   /// LoopbackTransport simulates timeouts (returns immediately when no
   /// reply is deliverable), so tests never sleep.
@@ -129,10 +110,10 @@ struct DistributedWdpConfig {
   /// [a small floor, receive_timeout], and additionally capped at a
   /// multiple of the fastest live worker's deadline so a CHRONICALLY slow
   /// worker (whose replies always beat its own inflated deadline) still
-  /// hedges near the cluster's normal latency. When the retiring round's
-  /// wait on a shard blows that deadline, the shard is re-dispatched to
-  /// the next live worker in its rendezvous order WITHOUT abandoning the
-  /// original attempt: the first valid reply wins, the per-lane dedupe
+  /// hedges near the cluster's normal latency. When the round's wait on a
+  /// shard blows that deadline, the shard is re-dispatched to the next
+  /// live worker in its rendezvous order WITHOUT abandoning the original
+  /// attempt: the first valid reply wins, the per-shard dedupe
   /// discards the loser, and a chronic straggler's home shards are hedged
   /// eagerly at dispatch time. Results are NEVER affected (replies are a
   /// pure function of the span), only tail latency. Disabled, the fixed
@@ -155,20 +136,13 @@ struct DistributedWdpConfig {
 
 class DistributedWdp final : public sfl::auction::WdpEngine {
  public:
-  /// Identifies one submitted round until it retires (monotonic per engine;
-  /// rounds retire in handle order).
-  using RoundHandle = std::uint64_t;
-
-  /// Counters for tests and diagnostics. Reset whenever a round is
-  /// submitted into an EMPTY pipeline (so the synchronous entry points keep
-  /// their per-round semantics); across a pipelined burst they accumulate
-  /// until the pipeline drains.
+  /// Counters for tests and diagnostics. Reset when a round starts; pump()
+  /// calls between rounds add to the last round's counters.
   struct RoundStats {
     std::size_t dispatches = 0;        ///< requests handed to the transport
     std::size_t redispatches = 0;      ///< of which were retries
-    std::size_t resubmits = 0;         ///< abandoned dispatch generations
     std::size_t local_recomputes = 0;  ///< spans recovered on the coordinator
-    std::size_t ignored_replies = 0;   ///< stale/abandoned seq, duplicate shard
+    std::size_t ignored_replies = 0;   ///< stale seq, duplicate shard
     std::size_t rejected_replies = 0;  ///< corrupt or inconsistent frames
     std::size_t dead_workers = 0;      ///< workers marked dead
     std::size_t hedged_dispatches = 0; ///< duplicate sends racing a laggard
@@ -206,7 +180,7 @@ class DistributedWdp final : public sfl::auction::WdpEngine {
   // --- elastic membership ---------------------------------------------------
 
   /// Drains every frame the transport can deliver RIGHT NOW without
-  /// blocking or recovery: replies bank into their lanes, kWorkerHello /
+  /// blocking or recovery: late replies are ignored, kWorkerHello /
   /// kWorkerGoodbye frames update the fleet view. Call between rounds so
   /// membership changes take effect before the next dispatch; shard count
   /// (effective_shards) stays a pure function of the configuration, so
@@ -222,47 +196,7 @@ class DistributedWdp final : public sfl::auction::WdpEngine {
   /// False once `worker` is known dead (failed send) or has said goodbye.
   [[nodiscard]] bool worker_live(std::size_t worker) const;
 
-  // --- pipelined round API --------------------------------------------------
-  //
-  // The caller owns `batch`, `penalties`, and `scratch` and must keep all
-  // three alive and unmodified until the round retires (one RoundScratch
-  // per in-flight round — the per-round scratch lane; an EMPTY penalties
-  // argument may be a temporary, it is aliased to a static instance).
-  // Rounds retire in submission order; the synchronous entry points below
-  // require an empty pipeline.
-
-  [[nodiscard]] std::size_t pipeline_depth() const noexcept {
-    return config_.pipeline_depth;
-  }
-  [[nodiscard]] std::size_t rounds_in_flight() const noexcept { return count_; }
-
-  /// Dispatches every span of a new round and returns its handle. Requires
-  /// rounds_in_flight() < pipeline_depth(). Shards that cannot reach any
-  /// live worker are recovered immediately (local recompute, or
-  /// DistributedWdpError with fallback disabled — the round is then not
-  /// submitted and older in-flight rounds are unaffected).
-  RoundHandle submit(const sfl::auction::CandidateBatch& batch,
-                     const sfl::auction::ScoreWeights& weights,
-                     std::size_t max_winners,
-                     const sfl::auction::Penalties& penalties,
-                     sfl::auction::RoundScratch& scratch) const;
-
-  /// Replaces an in-flight round's scoring inputs (a speculatively
-  /// dispatched round whose upstream state changed): the previous dispatch
-  /// generation is abandoned — its sequence number will match no lane, so
-  /// replies already in flight are ignored — and every span is re-sent
-  /// under a fresh sequence number. `penalties` must be the same caller
-  /// storage handed to submit (its CONTENT may have changed).
-  void resubmit(RoundHandle handle, const sfl::auction::ScoreWeights& weights,
-                const sfl::auction::Penalties& penalties) const;
-
-  /// Completes the OLDEST in-flight round: pumps the transport (replies for
-  /// younger rounds are banked into their own lanes as they appear), runs
-  /// timeout recovery for this round only, merges, prices, and returns its
-  /// handle. Allocation and payments land in the round's own scratch.
-  RoundHandle retire_oldest() const;
-
-  // --- synchronous WdpEngine interface (requires an empty pipeline) ---------
+  // --- WdpEngine interface ---------------------------------------------------
 
   const sfl::auction::Allocation& select_top_m(
       const sfl::auction::CandidateBatch& batch,
@@ -277,12 +211,11 @@ class DistributedWdp final : public sfl::auction::WdpEngine {
       sfl::auction::RoundScratch& scratch) const override;
 
  private:
-  /// One in-flight round's context: the per-round scratch lane plus the
-  /// merge bookkeeping the coordinator needs to validate replies against
-  /// exactly this round.
+  /// The round being collected: the caller's scratch plus the merge
+  /// bookkeeping the coordinator needs to validate replies against exactly
+  /// this round.
   struct Lane {
-    RoundHandle handle = 0;
-    std::uint64_t seq = 0;  ///< current dispatch generation
+    std::uint64_t seq = 0;  ///< this round's sequence number (0 = idle)
     const sfl::auction::CandidateBatch* batch = nullptr;
     const sfl::auction::Penalties* penalties = nullptr;
     sfl::auction::RoundScratch* scratch = nullptr;
@@ -309,27 +242,18 @@ class DistributedWdp final : public sfl::auction::WdpEngine {
     std::chrono::steady_clock::time_point sent{};
   };
 
-  [[nodiscard]] Lane& lane_at(std::size_t offset) const {
-    return lanes_[(head_ + offset) % lanes_.size()];
-  }
-  /// The active lane owning this dispatch generation, or nullptr when the
-  /// sequence belongs to a retired round or an abandoned generation.
-  [[nodiscard]] Lane* lane_for_seq(std::uint64_t seq) const;
-
-  /// Fills request_ with shard `shard`'s span of the lane's batch.
-  void fill_request(const Lane& lane, std::size_t shard) const;
+  /// Fills request_ with shard `shard`'s span of the round's batch.
+  void fill_request(std::size_t shard) const;
   /// Encodes request_ and sends it to a live worker: attempt k goes to the
   /// k-th live worker in the shard's rendezvous order (wrapping), plus an
   /// eager hedge when that worker is a chronic straggler. Returns false
   /// when no live worker accepted.
-  bool dispatch(Lane& lane, std::size_t shard) const;
-  /// Dispatches (or recovers) every span of the lane's current generation.
-  void dispatch_all(Lane& lane) const;
+  bool dispatch(std::size_t shard) const;
   /// Recomputes shard `shard` on the coordinator with the worker math and
-  /// accepts the resulting survivors into the lane.
-  void recompute_locally(Lane& lane, std::size_t shard) const;
+  /// accepts the resulting survivors into the round.
+  void recompute_locally(std::size_t shard) const;
   /// Local recompute, or the typed failure when fallback is disabled.
-  void recover(Lane& lane, std::size_t shard) const;
+  void recover(std::size_t shard) const;
   /// Routes one received frame_: membership announcements update the fleet
   /// view, everything else goes through accept_reply().
   void handle_frame() const;
@@ -337,26 +261,24 @@ class DistributedWdp final : public sfl::auction::WdpEngine {
   /// transport's source attribution when available, else the frame's
   /// self-reported id; out-of-range slots are rejected.
   void handle_membership(bool hello) const;
-  /// Decodes frame_, routes it to the lane its sequence names, validates it
-  /// against that round's dispatch, and accepts first-valid-per-shard
-  /// survivors into the lane's scratch.
+  /// Decodes frame_, checks that its sequence names the open round,
+  /// validates it against that round's dispatch, and accepts
+  /// first-valid-per-shard survivors into the round's scratch.
   void accept_reply() const;
-  /// Pumps the transport and runs deadline/timeout recovery until the
-  /// lane's every shard is resolved (the lane must be the oldest in
-  /// flight).
-  void collect(Lane& lane) const;
-  /// One recovery sweep over the lane's unresolved shards. With only_blown,
-  /// shards whose latest attempt is still inside its worker's adaptive
-  /// deadline are left alone (the hedged wait is per-worker, not global).
-  void recovery_pass(Lane& lane, bool only_blown) const;
-  /// ShardedWdp's exact merge over the lane's survivor multiset.
-  void merge(Lane& lane) const;
-  /// Shared lane teardown: caller pointers dropped, seq zeroed so stale
-  /// lookups cannot match a released lane (seq 0 is never issued), latency
-  /// bookkeeping for the generation purged.
-  void release_lane(Lane& lane) const;
-  /// Drops the oldest lane from the ring (its sequence goes stale).
-  void pop_oldest_lane() const;
+  /// Pumps the transport and runs deadline/timeout recovery until every
+  /// shard of the open round is resolved.
+  void collect() const;
+  /// One recovery sweep over the round's unresolved shards. With
+  /// only_blown, shards whose latest attempt is still inside its worker's
+  /// adaptive deadline are left alone (the hedged wait is per-worker, not
+  /// global).
+  void recovery_pass(bool only_blown) const;
+  /// ShardedWdp's exact merge over the round's survivor multiset.
+  void merge() const;
+  /// Closes the round: caller pointers dropped, seq zeroed so no reply can
+  /// match an idle lane (seq 0 is never issued), latency bookkeeping for
+  /// the unanswered attempts dropped.
+  void release_lane() const;
 
   /// Fills rank_scratch_ with every worker ordered by rendezvous weight for
   /// `shard` (highest first, ties by index).
@@ -372,12 +294,9 @@ class DistributedWdp final : public sfl::auction::WdpEngine {
   /// its home shards are then hedged eagerly at dispatch time.
   [[nodiscard]] bool chronic_straggler(std::size_t worker) const;
   /// How long the next collect wait may block: the soonest adaptive
-  /// deadline among the lane's unresolved shards (clamped to
+  /// deadline among the round's unresolved shards (clamped to
   /// [0, receive_timeout]); plain receive_timeout with hedging off.
-  [[nodiscard]] std::chrono::milliseconds recovery_wait(
-      const Lane& lane) const;
-  /// Drops every outstanding-attempt record of dispatch generation `seq`.
-  void purge_outstanding(std::uint64_t seq) const;
+  [[nodiscard]] std::chrono::milliseconds recovery_wait() const;
 
   DistributedWdpConfig config_;
   std::unique_ptr<ShardTransport> transport_;
@@ -389,13 +308,10 @@ class DistributedWdp final : public sfl::auction::WdpEngine {
   // Single-coordinator state behind the const engine interface (see file
   // comment: one instance, one coordinator thread).
   mutable std::uint64_t seq_counter_ = 0;
-  mutable RoundHandle handle_counter_ = 0;
   mutable ShardRequest request_;
   mutable ShardReply reply_;
   mutable Frame frame_;
-  mutable std::vector<Lane> lanes_;  ///< ring of pipeline_depth round lanes
-  mutable std::size_t head_ = 0;     ///< ring index of the oldest lane
-  mutable std::size_t count_ = 0;    ///< lanes currently in flight
+  mutable Lane lane_;
   mutable std::vector<bool> worker_dead_;
   /// Planned drains (kWorkerGoodbye): not routed to, but not a fault.
   mutable std::vector<bool> worker_departed_;

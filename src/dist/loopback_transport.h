@@ -34,8 +34,8 @@
 // A second, opt-in clock exists for benchmarks: set_worker_latency(w, d)
 // stamps every reply from w as deliverable only d of wall time after the
 // send, and receive() then really sleeps until the earliest pending reply
-// (or the timeout) — a scripted straggler whose cost the pipelined
-// coordinator can overlap. Latency zero (the default) keeps the
+// (or the timeout) — a scripted straggler for the hedged-dispatch
+// benchmarks. Latency zero (the default) keeps the
 // simulated-time behavior exactly, so fault suites never sleep.
 #pragma once
 

@@ -64,7 +64,6 @@ sfl::auction::MechanismConfig to_mechanism_config(
   mc.lto.v_weight = config.v_weight;
   mc.lto.pacing_rate = 0.0;
   mc.lto.dist_workers = config.dist_workers;
-  mc.lto.dist_pipeline_depth = config.dist_pipeline_depth;
   return mc;
 }
 

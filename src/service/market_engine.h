@@ -32,18 +32,15 @@ namespace sfl::service {
 /// Everything that determines a market's clearing behavior. The server and
 /// the load generator's reference engine must agree on ALL of it.
 struct MarketEngineConfig {
-  /// Registry key of the auction rule (the pipelined distributed
-  /// coordinator by default — the serving path ROADMAP items 3/4 extend).
-  std::string mechanism = "lto-vcg-dist-pipe";
+  /// Registry key of the auction rule (the paper mechanism by default).
+  std::string mechanism = "lto-vcg";
   /// A market round clears when exactly this many bids have arrived for it.
   std::size_t bids_per_round = 32;
   std::size_t max_winners = 8;   ///< m
   double per_round_budget = 6.0;  ///< B-bar
   double v_weight = 10.0;         ///< Lyapunov V
-  /// Shard workers / pipeline depth for the lto-vcg-dist* keys (0 = the
-  /// key's defaults).
+  /// Shard workers for the lto-vcg-dist* keys (0 = the key's default).
   std::size_t dist_workers = 0;
-  std::size_t dist_pipeline_depth = 0;
   /// Seed for randomized rules (random-stipend).
   std::uint64_t seed = 42;
 };
@@ -114,10 +111,9 @@ struct MultiMarketClearer {
 
 /// Clears MANY markets' ready rounds in one call — the tick-level batch axis
 /// on top of clear_market_round's per-round contract. Requests whose
-/// mechanism is an LTO-VCG instance on the critical-value rule with no
-/// pipelined rounds in flight (every lto-vcg registry variant the service
-/// configures) are scored through ONE WdpEngine::run_rounds mega-batch pass;
-/// anything else falls back to clear_market_round. Either way each market's
+/// mechanism is an LTO-VCG instance on the critical-value rule (every
+/// lto-vcg registry variant the service configures) are scored through ONE
+/// WdpEngine::run_rounds mega-batch pass; anything else falls back to clear_market_round. Either way each market's
 /// result and settlement are bit-identical to clearing it alone — the
 /// engine's run_rounds contract plus the shared input/settle code make the
 /// batch axis unobservable. Requests must name DISTINCT markets (two rounds

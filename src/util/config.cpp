@@ -43,10 +43,12 @@ void Config::set(std::string key, std::string value) {
 }
 
 bool Config::contains(const std::string& key) const {
+  read_.insert(key);
   return values_.contains(key);
 }
 
 std::optional<std::string> Config::raw(const std::string& key) const {
+  read_.insert(key);
   const auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
   return it->second;
@@ -101,6 +103,14 @@ std::vector<std::string> Config::keys() const {
   std::vector<std::string> out;
   out.reserve(values_.size());
   for (const auto& [key, value] : values_) out.push_back(key);
+  return out;
+}
+
+std::vector<std::string> Config::unread_keys() const {
+  std::vector<std::string> out;
+  for (const auto& [key, value] : values_) {
+    if (!read_.contains(key)) out.push_back(key);
+  }
   return out;
 }
 

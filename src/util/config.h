@@ -3,11 +3,14 @@
 // Bench and example binaries accept `key=value` command-line overrides and a
 // REPRO_FAST-style environment knob; this class parses and type-checks them.
 // Keys are flat strings ("rounds", "auction.v_weight"); values are parsed on
-// demand with full validation and defaulting.
+// demand with full validation and defaulting. Every lookup records its key,
+// so a binary can reject keys it never read (typos, removed options) instead
+// of silently running on defaults.
 #pragma once
 
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,8 +45,14 @@ class Config {
   /// All keys in sorted order (for echoing a run's configuration).
   [[nodiscard]] std::vector<std::string> keys() const;
 
+  /// Keys that were set but never looked up through contains(), raw() or a
+  /// get_*() call, in sorted order.
+  [[nodiscard]] std::vector<std::string> unread_keys() const;
+
  private:
   std::map<std::string, std::string> values_;
+  /// Keys looked up so far (lookups are const, hence mutable).
+  mutable std::set<std::string> read_;
 };
 
 /// True when the REPRO_FAST environment variable is set to a truthy value

@@ -25,8 +25,7 @@ TEST(MechanismRegistryTest, ListsAllBuiltins) {
   const auto& registry = MechanismRegistry::global();
   const std::vector<std::string> expected{
       "lto-vcg",        "lto-vcg-sharded",  "lto-vcg-dist",
-      "lto-vcg-dist-pipe", "lto-vcg-dist-hedge", "lto-vcg-async",
-      "lto-vcg-unpaced",
+      "lto-vcg-dist-hedge", "lto-vcg-async", "lto-vcg-unpaced",
       "myopic-vcg",     "pay-as-bid",       "fixed-price",
       "adaptive-price", "random-stipend",   "proportional-share",
       "first-best-oracle", "budgeted-oracle", "budgeted-oracle-par",
@@ -54,7 +53,6 @@ TEST(MechanismRegistryTest, ListsAllBuiltins) {
   }
   EXPECT_EQ(lto_variants,
             (std::vector<std::string>{"lto-vcg-sharded", "lto-vcg-dist",
-                                      "lto-vcg-dist-pipe",
                                       "lto-vcg-dist-hedge", "lto-vcg-async"}));
   // The parallel-oracle keys are tagged as execution variants of their
   // serial canonicals, so the generic variant-equality sweep covers them
@@ -92,8 +90,8 @@ TEST(MechanismRegistryTest, HedgeKnobReachesTheDistributedKeys) {
     EXPECT_FALSE(lto->config().dist_hedge);
   }
 
-  // The dedicated key forces hedging on regardless of the knob, defaults
-  // to a 4-worker fleet at depth 2, and honors explicit sizing.
+  // The dedicated key forces hedging on regardless of the knob and
+  // defaults to a 4-worker fleet.
   {
     config.lto.dist_workers = 0;
     config.lto.hedge = false;
@@ -103,7 +101,15 @@ TEST(MechanismRegistryTest, HedgeKnobReachesTheDistributedKeys) {
     ASSERT_NE(lto, nullptr);
     EXPECT_TRUE(lto->config().dist_hedge);
     EXPECT_EQ(lto->config().dist_workers, 4u);
-    EXPECT_EQ(lto->config().dist_pipeline_depth, 2u);
+  }
+  // Like every lto-vcg* key, it honors the async_settle knob.
+  {
+    config.lto.async_settle = true;
+    const auto mechanism = build_mechanism("lto-vcg-dist-hedge", config);
+    EXPECT_NE(mechanism->underlying(), mechanism.get());
+    EXPECT_NE(dynamic_cast<core::LongTermOnlineVcgMechanism*>(
+                  mechanism->underlying()),
+              nullptr);
   }
 }
 

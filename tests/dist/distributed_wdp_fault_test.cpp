@@ -5,7 +5,10 @@
 // before or after accepting a request; whole-cluster loss — and asserts
 // the coordinator either produces the BIT-IDENTICAL allocation and
 // critical payments of the serial engine (scenario completes) or fails
-// with the typed DistributedWdpError (recovery disabled). Plus the
+// with the typed DistributedWdpError (recovery disabled). The
+// misattribution cases replay stale round-t frames (delayed, duplicated, or
+// left over from a failed round) into a round t+1 with identical span
+// geometry, which only the per-round sequence number can reject. Plus the
 // acceptance sweep: fixed-seed 200-round settled LTO markets where
 // lto-vcg-dist must match lto-vcg exactly for worker counts {1, 2, 4, 7}.
 #include <gtest/gtest.h>
@@ -291,6 +294,61 @@ TEST(DistributedWdpFaultTest, FaultPileupStillMatchesSerial) {
   h.transport->duplicate_next_reply();
   h.transport->corrupt_next_reply(33, 0x80);
   expect_bit_identical(*h.engine, batch);
+}
+
+// ---------------------------------------------------------------------------
+// Cross-round misattribution: a frame out of round t that surfaces while
+// round t+1 — same n, same shard count, same span layout, so only the
+// sequence number tells the two apart — is being collected is ignored.
+// ---------------------------------------------------------------------------
+
+TEST(DistributedWdpMisattributionTest, DelayedReplyFromPreviousRoundIsIgnored) {
+  const Harness h = make_harness(2);
+  const CandidateBatch batch_t = make_batch(40, 11);
+  const CandidateBatch batch_t1 = make_batch(40, 12);  // same spans
+
+  // Round t's shard-0 reply is delayed past round t (which recovers by
+  // re-dispatch), so it surfaces during round t+1; t+1's own straggler
+  // keeps its collect loop pumping until it does.
+  h.transport->delay_next_reply(6);
+  expect_bit_identical(*h.engine, batch_t);
+  h.transport->delay_next_reply(8);
+  expect_bit_identical(*h.engine, batch_t1);
+  EXPECT_GE(h.engine->last_round_stats().ignored_replies, 1u);
+}
+
+TEST(DistributedWdpMisattributionTest,
+     DuplicatedReplyFromPreviousRoundIsIgnored) {
+  const Harness h = make_harness(2);
+  const CandidateBatch batch_t = make_batch(40, 21);
+  const CandidateBatch batch_t1 = make_batch(40, 22);
+
+  // Both copies of round t's duplicated shard-0 reply arrive during t+1.
+  h.transport->duplicate_next_reply();
+  h.transport->delay_next_reply(6);
+  expect_bit_identical(*h.engine, batch_t);
+  h.transport->delay_next_reply(8);
+  expect_bit_identical(*h.engine, batch_t1);
+  EXPECT_GE(h.engine->last_round_stats().ignored_replies, 2u);
+}
+
+TEST(DistributedWdpMisattributionTest, FailedRoundReplyDoesNotMergeIntoNext) {
+  // One attempt per shard and no fallback: round t fails on its first
+  // empty receive while its delayed shard-0 reply is still in flight. That
+  // reply becomes deliverable first thing in round t+1 and must be dropped.
+  const Harness h = make_harness(2, DistributedWdpConfig{
+                                        .max_attempts_per_shard = 1,
+                                        .allow_local_fallback = false});
+  const CandidateBatch batch_t = make_batch(40, 31);
+  const CandidateBatch batch_t1 = make_batch(40, 32);
+
+  h.transport->delay_next_reply(3);
+  RoundScratch scratch;
+  EXPECT_THROW(
+      h.engine->select_top_m(batch_t, kWeights, kMaxWinners, {}, scratch),
+      DistributedWdpError);
+  expect_bit_identical(*h.engine, batch_t1);
+  EXPECT_GE(h.engine->last_round_stats().ignored_replies, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,16 +3,17 @@
 // fork/execs real `sfl_shard_worker` processes (the examples/ binary: a
 // TcpShardServer behind a main()), parses the advertised ephemeral ports
 // off their stdout, connects a TcpTransport coordinator, and runs a
-// PIPELINED multi-round market across the process boundary — every round
-// must match the serial in-process engine bit for bit, including after one
-// worker process is SIGKILLed mid-market (the coordinator re-routes or
-// recomputes). Environments that forbid fork/exec or binding localhost
+// multi-round market through the synchronous DistributedWdp across the
+// process boundary — every round must match the serial in-process engine
+// bit for bit, including after one worker process is SIGKILLed mid-market
+// (the coordinator re-routes or recomputes). Environments that forbid fork/exec or binding localhost
 // sockets skip instead of failing.
 //
 // The binary is located through $SFL_SHARD_WORKER_BIN, falling back to the
 // build-time path baked in by tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <memory>
@@ -126,7 +127,7 @@ std::unique_ptr<WorkerProcess> spawn_worker(std::string& why) {
   return nullptr;
 }
 
-TEST(ShardWorkerProcessTest, PipelinedMarketOverRealWorkerProcessesIsExact) {
+TEST(ShardWorkerProcessTest, MarketOverRealWorkerProcessesIsExact) {
   std::string why;
   std::vector<std::unique_ptr<WorkerProcess>> workers;
   std::vector<TcpTransport::Endpoint> endpoints;
@@ -137,22 +138,26 @@ TEST(ShardWorkerProcessTest, PipelinedMarketOverRealWorkerProcessesIsExact) {
     workers.push_back(std::move(worker));
   }
 
-  // The pipelined coordinator over the real process boundary, driven
-  // through the engine's submit/retire API (the mechanism layer builds its
-  // own loopback transport; here the sockets ARE the point). Short receive
-  // timeout: localhost round trips are sub-millisecond and the post-kill
-  // rounds lean on timeouts to reach recovery quickly.
-  DistributedWdp engine{
-      DistributedWdpConfig{.pipeline_depth = 2,
-                           .receive_timeout = std::chrono::milliseconds(250)},
+  // The coordinator over the real process boundary (the mechanism layer
+  // builds its own loopback transport; here the sockets ARE the point).
+  // Short receive timeout: localhost round trips are sub-millisecond and
+  // the post-kill rounds lean on timeouts to reach recovery quickly.
+  const DistributedWdp engine{
+      DistributedWdpConfig{.receive_timeout = std::chrono::milliseconds(250)},
       std::make_unique<TcpTransport>(endpoints)};
+  const auction::ShardedWdp serial_engine{
+      auction::ShardedWdpConfig{.shards = 1}};
 
-  const auction::ScoreWeights weights{.value_weight = 10.0,
-                                      .bid_weight = 12.5};
   constexpr std::size_t kMaxWinners = 6;
   sfl::util::Rng rng(321);
-  std::vector<auction::CandidateBatch> batches;
-  for (std::size_t r = 0; r < 12; ++r) {
+  auction::RoundScratch scratch;
+  auction::RoundScratch reference;
+  for (std::size_t round = 0; round < 12; ++round) {
+    if (round == 6) {
+      // Mid-market worker death: a real SIGKILLed process. The coordinator
+      // must re-route/recompute and stay bit-identical.
+      workers[0]->stop(SIGKILL);
+    }
     auction::CandidateBatch batch;
     const std::size_t n = 20 + rng.uniform_index(40);
     for (std::size_t i = 0; i < n; ++i) {
@@ -160,35 +165,25 @@ TEST(ShardWorkerProcessTest, PipelinedMarketOverRealWorkerProcessesIsExact) {
                     rng.uniform(0.1, 5.0), rng.uniform(0.05, 3.0),
                     rng.uniform(0.2, 2.0));
     }
-    batches.push_back(std::move(batch));
-  }
-
-  const auction::ShardedWdp serial_engine{
-      auction::ShardedWdpConfig{.shards = 1}};
-  std::vector<auction::RoundScratch> lanes(2);
-  std::size_t submitted = 0;
-  for (std::size_t r = 0; r < batches.size(); ++r) {
-    if (r == 6) {
-      // Mid-market worker death: a real SIGKILLed process. The coordinator
-      // must re-route/recompute and stay bit-identical.
-      workers[0]->stop(SIGKILL);
+    // Weights drift the way a settling budget queue moves them, and every
+    // other round carries sustainability penalties across the wire.
+    const auction::ScoreWeights weights{
+        .value_weight = 10.0, .bid_weight = 10.0 + rng.uniform(0.0, 5.0)};
+    auction::Penalties penalties;
+    if (round % 2 == 1) {
+      for (std::size_t i = 0; i < n; ++i) {
+        penalties.push_back(rng.uniform(0.0, 2.0));
+      }
     }
-    while (submitted < batches.size() && engine.rounds_in_flight() < 2) {
-      engine.submit(batches[submitted], weights, kMaxWinners, {},
-                    lanes[submitted % 2]);
-      ++submitted;
-    }
-    engine.retire_oldest();
 
-    auction::RoundScratch reference;
-    serial_engine.run_round(batches[r], weights, kMaxWinners, {}, reference);
-    ASSERT_EQ(lanes[r % 2].allocation.selected,
-              reference.allocation.selected)
-        << "round " << r;
-    ASSERT_EQ(lanes[r % 2].allocation.total_score,
+    engine.run_round(batch, weights, kMaxWinners, penalties, scratch);
+    serial_engine.run_round(batch, weights, kMaxWinners, penalties, reference);
+    ASSERT_EQ(scratch.allocation.selected, reference.allocation.selected)
+        << "round " << round;
+    ASSERT_EQ(scratch.allocation.total_score,
               reference.allocation.total_score)
-        << "round " << r;
-    ASSERT_EQ(lanes[r % 2].payments, reference.payments) << "round " << r;
+        << "round " << round;
+    ASSERT_EQ(scratch.payments, reference.payments) << "round " << round;
   }
 
   // Clean shutdown: SIGTERM and reap (the destructor SIGKILLs stragglers).

@@ -19,7 +19,7 @@
 //    knapsack's ceil weights over-count bids, so its DP is conservative);
 //  - settlement: settle() on the round's own outcome never throws;
 //  - trajectory equality: every registered execution variant of LTO-VCG
-//    (sharded, async, distributed, pipelined-distributed — enumerated from
+//    (sharded, async, distributed, hedged-distributed — enumerated from
 //    the registry's variant_of tags) stays bit-identical to the serial
 //    mechanism over multi-round settled trajectories; likewise every
 //    parallel-oracle variant (budgeted-oracle-par, greedy-concave-par,
@@ -384,7 +384,6 @@ TEST(LtoExecutionModesProperty, AllRegisteredVariantTrajectoriesBitIdentical) {
       owned.push_back(build_mechanism(info.name, variant_config));
       variant_config.lto.shards = 3;
       variant_config.lto.dist_workers = 3;
-      variant_config.lto.dist_pipeline_depth = 3;  // pipelined keys only
       owned.push_back(build_mechanism(info.name, variant_config));
     }
     ASSERT_GE(owned.size(), 8u) << "variant tags disappeared from the registry";

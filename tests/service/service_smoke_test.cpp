@@ -211,7 +211,7 @@ class OldWireVersionServer {
     hello.bids_per_round = 8;
     hello.max_winners = 3;
     hello.max_pending_rounds = 64;
-    hello.mechanism = "lto-vcg-dist-pipe";
+    hello.mechanism = "lto-vcg";
     encode(hello, stale_hello_);
     stale_hello_[4] = std::byte{0};  // an older wire revision
 
@@ -305,11 +305,12 @@ TEST(ServiceSmokeTest, MismatchedKnobsFailFastInsteadOfHangingSilently) {
   EXPECT_LT(elapsed, std::chrono::seconds(20))
       << "the mismatch must be detected up front, not via hang timeouts";
 
-  // Same for a mechanism-key disagreement.
+  // Same for a mechanism-key disagreement (the server runs the default
+  // lto-vcg).
   const int mechanism_exit = run_load_gen(
       {"--port=" + std::to_string(server->port), "--clients=64",
        "--connections=2", "--markets=1", "--rounds=2", "--bids-per-round=8",
-       "--winners=3", "--mechanism=lto-vcg", "--verify=0"});
+       "--winners=3", "--mechanism=lto-vcg-dist", "--verify=0"});
   if (mechanism_exit == -1) GTEST_SKIP() << "load generator could not be spawned";
   EXPECT_EQ(mechanism_exit, 1);
 

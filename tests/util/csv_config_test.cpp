@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/csv.h"
 #include "util/config.h"
@@ -108,6 +111,24 @@ TEST(ConfigTest, LaterDuplicatesOverride) {
   const char* argv[] = {"prog", "k=1", "k=2"};
   const Config config = Config::from_args(3, argv);
   EXPECT_EQ(config.get_int("k", 0), 2);
+}
+
+TEST(ConfigTest, UnreadKeysNameEverySetKeyNoLookupTouched) {
+  const char* argv[] = {"prog", "rounds=5", "rouns=500", "seed=3", "csv="};
+  const Config config = Config::from_args(5, argv);
+  EXPECT_EQ(config.unread_keys(),
+            (std::vector<std::string>{"csv", "rounds", "rouns", "seed"}));
+  // Every lookup style marks its key read, whether or not it was set.
+  EXPECT_EQ(config.get_size("rounds", 200), 5u);
+  EXPECT_TRUE(config.contains("seed"));
+  EXPECT_EQ(config.raw("csv"), std::optional<std::string>(""));
+  EXPECT_EQ(config.get_double("budget", 6.0), 6.0);
+  EXPECT_EQ(config.unread_keys(), (std::vector<std::string>{"rouns"}));
+  // A lookup that throws on a bad value still counts as read.
+  Config typed;
+  typed.set("flag", "maybe");
+  EXPECT_THROW((void)typed.get_bool("flag", false), std::invalid_argument);
+  EXPECT_TRUE(typed.unread_keys().empty());
 }
 
 TEST(FastModeTest, FollowsEnvironmentVariable) {

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <sstream>
 
-#include "util/logging.h"
 #include "util/string_utils.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -62,25 +61,6 @@ TEST(TablePrinterTest, AlignsColumns) {
 TEST(TablePrinterTest, RejectsWidthMismatch) {
   TablePrinter table({"a", "b"});
   EXPECT_THROW(table.add_row({"only-one"}), std::invalid_argument);
-}
-
-TEST(LoggingTest, LevelFiltering) {
-  std::ostringstream sink;
-  Logger logger(LogLevel::kWarn, &sink);
-  logger.info("suppressed");
-  logger.warn("visible-warning");
-  logger.error("visible-error ", 42);
-  const std::string text = sink.str();
-  EXPECT_EQ(text.find("suppressed"), std::string::npos);
-  EXPECT_NE(text.find("visible-warning"), std::string::npos);
-  EXPECT_NE(text.find("visible-error 42"), std::string::npos);
-}
-
-TEST(LoggingTest, ParseLevelRoundTrips) {
-  EXPECT_EQ(parse_log_level("debug"), LogLevel::kDebug);
-  EXPECT_EQ(parse_log_level("off"), LogLevel::kOff);
-  EXPECT_THROW(parse_log_level("loud"), std::invalid_argument);
-  EXPECT_EQ(to_string(LogLevel::kInfo), "INFO");
 }
 
 TEST(TimerTest, MeasuresElapsedTime) {
