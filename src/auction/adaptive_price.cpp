@@ -23,11 +23,6 @@ AdaptivePostedPriceMechanism::AdaptivePostedPriceMechanism(
 }
 
 MechanismResult AdaptivePostedPriceMechanism::run_round(
-    const std::vector<Candidate>& candidates, const RoundContext& context) {
-  return run_round(CandidateBatch::from_aos(candidates), context);
-}
-
-MechanismResult AdaptivePostedPriceMechanism::run_round(
     const CandidateBatch& batch, const RoundContext& context) {
   require(std::isfinite(context.per_round_budget) && context.per_round_budget > 0.0,
           "adaptive price needs a finite positive per-round budget");
@@ -41,24 +36,21 @@ MechanismResult AdaptivePostedPriceMechanism::run_round(
   return make_result(batch, allocation, std::move(payments));
 }
 
-void AdaptivePostedPriceMechanism::observe(const RoundObservation& observation) {
+void AdaptivePostedPriceMechanism::settle(const RoundSettlement& settlement) {
   if (last_budget_ <= 0.0) return;  // run_round not called yet
-  // Idempotent per round: settle() forwards here, so a caller reporting
-  // through both settle() and observe() for one auction round must not
-  // step the price twice — whatever round stamps the two reports carry.
-  // With the round closed (a report already applied since the last
-  // run_round), only a genuine empty-round report (no winners, no spend —
-  // the orchestrator's empty-slate path, which never calls run_round) may
-  // still step the price; any substantive closed-round report is the
-  // duplicate half of a double report and is dropped.
+  // With the round closed (a settlement already applied since the last
+  // run_round), only a genuine empty-round report (no delivered winners, no
+  // spend — the orchestrator's empty-slate path, which never calls
+  // run_round) may still step the price; any substantive closed-round
+  // report is a retry and is dropped.
   if (!round_open_ &&
-      (!observation.winners.empty() || observation.total_payment != 0.0)) {
+      (settlement.delivered_count() != 0 || settlement.total_payment != 0.0)) {
     return;
   }
   round_open_ = false;
-  if (observation.total_payment > last_budget_) {
+  if (settlement.total_payment > last_budget_) {
     price_ *= 1.0 - config_.step;
-  } else if (observation.total_payment < last_budget_) {
+  } else if (settlement.total_payment < last_budget_) {
     price_ *= 1.0 + config_.step;
   }
   price_ = std::clamp(price_, config_.min_price, config_.max_price);

@@ -24,13 +24,12 @@ class AdaptivePostedPriceMechanism final : public Mechanism {
   explicit AdaptivePostedPriceMechanism(const AdaptivePriceConfig& config);
 
   [[nodiscard]] std::string name() const override { return "adaptive-price"; }
-  [[nodiscard]] MechanismResult run_round(const std::vector<Candidate>& candidates,
-                                          const RoundContext& context) override;
-  /// Batch-native posted-price round (the real implementation; the AoS
-  /// overload gathers and delegates).
+  using Mechanism::run_round;
   [[nodiscard]] MechanismResult run_round(const CandidateBatch& batch,
                                           const RoundContext& context) override;
-  void observe(const RoundObservation& observation) override;
+  /// One multiplicative price step per auction round: spend above the
+  /// round's budget lowers the price, spend below raises it.
+  void settle(const RoundSettlement& settlement) override;
   [[nodiscard]] bool is_truthful() const noexcept override { return true; }
 
   [[nodiscard]] double current_price() const noexcept { return price_; }
@@ -39,12 +38,11 @@ class AdaptivePostedPriceMechanism final : public Mechanism {
   AdaptivePriceConfig config_;
   double price_;
   double last_budget_ = 0.0;  ///< B-bar seen in the last run_round
-  /// Per-round idempotency guard: settle() routes into observe(), so a
-  /// double report for one auction round must not apply the price update
-  /// twice. run_round opens the round; the first observation closes it; a
-  /// closed-round observation is dropped unless it reports an empty round
-  /// (no winners, zero payment — the no-auction path, which has no
-  /// run_round to re-open the guard).
+  /// Per-round retry guard: a retried settlement for one auction round must
+  /// not step the price twice. run_round opens the round; the first
+  /// settlement closes it; a closed-round settlement is dropped unless it
+  /// reports an empty round (no delivered winners, zero payment — the
+  /// no-auction path, which has no run_round to re-open the guard).
   bool round_open_ = true;
 };
 

@@ -12,11 +12,6 @@ namespace sfl::auction {
 
 using sfl::util::require;
 
-MechanismResult MyopicVcgMechanism::run_round(
-    const std::vector<Candidate>& candidates, const RoundContext& context) {
-  return run_round(CandidateBatch::from_aos(candidates), context);
-}
-
 MechanismResult MyopicVcgMechanism::run_round(const CandidateBatch& batch,
                                               const RoundContext& context) {
   const ScoreWeights weights{.value_weight = 1.0, .bid_weight = 1.0};
@@ -25,11 +20,6 @@ MechanismResult MyopicVcgMechanism::run_round(const CandidateBatch& batch,
   std::vector<double> payments =
       critical_payments(batch, weights, context.max_winners, allocation);
   return make_result(batch, allocation, std::move(payments));
-}
-
-MechanismResult PayAsBidGreedyMechanism::run_round(
-    const std::vector<Candidate>& candidates, const RoundContext& context) {
-  return run_round(CandidateBatch::from_aos(candidates), context);
 }
 
 MechanismResult PayAsBidGreedyMechanism::run_round(const CandidateBatch& batch,
@@ -70,11 +60,6 @@ std::vector<std::size_t> posted_price_winners(std::span<const double> values,
   return accepting;
 }
 
-MechanismResult FixedPriceMechanism::run_round(
-    const std::vector<Candidate>& candidates, const RoundContext& context) {
-  return run_round(CandidateBatch::from_aos(candidates), context);
-}
-
 MechanismResult FixedPriceMechanism::run_round(const CandidateBatch& batch,
                                                const RoundContext& context) {
   Allocation allocation;
@@ -89,11 +74,6 @@ RandomSelectionMechanism::RandomSelectionMechanism(double stipend, std::uint64_t
   require(stipend >= 0.0, "stipend must be >= 0");
 }
 
-MechanismResult RandomSelectionMechanism::run_round(
-    const std::vector<Candidate>& candidates, const RoundContext& context) {
-  return run_round(CandidateBatch::from_aos(candidates), context);
-}
-
 MechanismResult RandomSelectionMechanism::run_round(const CandidateBatch& batch,
                                                     const RoundContext& context) {
   const std::size_t winners = std::min(context.max_winners, batch.size());
@@ -104,11 +84,6 @@ MechanismResult RandomSelectionMechanism::run_round(const CandidateBatch& batch,
   }
   std::vector<double> payments(allocation.selected.size(), stipend_);
   return make_result(batch, allocation, std::move(payments));
-}
-
-MechanismResult FirstBestOracleMechanism::run_round(
-    const std::vector<Candidate>& candidates, const RoundContext& context) {
-  return run_round(CandidateBatch::from_aos(candidates), context);
 }
 
 MechanismResult FirstBestOracleMechanism::run_round(const CandidateBatch& batch,
@@ -181,11 +156,6 @@ BudgetedOracleMechanism::BudgetedOracleMechanism(double resolution,
   require(resolution > 0.0, "knapsack resolution must be > 0");
 }
 
-MechanismResult BudgetedOracleMechanism::run_round(
-    const std::vector<Candidate>& candidates, const RoundContext& context) {
-  return run_round(CandidateBatch::from_aos(candidates), context);
-}
-
 MechanismResult BudgetedOracleMechanism::run_round(const CandidateBatch& batch,
                                                    const RoundContext& context) {
   require(std::isfinite(context.per_round_budget) && context.per_round_budget > 0.0,
@@ -205,11 +175,6 @@ MechanismResult BudgetedOracleMechanism::run_round(const CandidateBatch& batch,
 
 GreedyConcaveMechanism::GreedyConcaveMechanism(double scale, std::size_t threads)
     : valuation_(scale), threads_(threads) {}
-
-MechanismResult GreedyConcaveMechanism::run_round(
-    const std::vector<Candidate>& candidates, const RoundContext& context) {
-  return run_round(CandidateBatch::from_aos(candidates), context);
-}
 
 MechanismResult GreedyConcaveMechanism::run_round(const CandidateBatch& batch,
                                                   const RoundContext& context) {
@@ -235,11 +200,6 @@ MechanismResult GreedyConcaveMechanism::run_round(const CandidateBatch& batch,
 MyopicVcgExtMechanism::MyopicVcgExtMechanism(std::size_t threads)
     : threads_(threads) {}
 
-MechanismResult MyopicVcgExtMechanism::run_round(
-    const std::vector<Candidate>& candidates, const RoundContext& context) {
-  return run_round(CandidateBatch::from_aos(candidates), context);
-}
-
 MechanismResult MyopicVcgExtMechanism::run_round(const CandidateBatch& batch,
                                                  const RoundContext& context) {
   const ScoreWeights weights{.value_weight = 1.0, .bid_weight = 1.0};
@@ -260,11 +220,6 @@ MechanismResult MyopicVcgExtMechanism::run_round(const CandidateBatch& batch,
       },
       {}, threads_, scratch_);
   return make_result(batch, allocation, std::move(payments));
-}
-
-MechanismResult ProportionalShareMechanism::run_round(
-    const std::vector<Candidate>& candidates, const RoundContext& context) {
-  return run_round(CandidateBatch::from_aos(candidates), context);
 }
 
 MechanismResult ProportionalShareMechanism::run_round(

@@ -16,11 +16,10 @@
 //  - ProportionalShareMechanism: Singer-style budget-feasible truthful
 //    mechanism; guarantees per-round payments <= budget at some welfare loss.
 //
-// Every baseline is batch-native: the CandidateBatch overload of run_round
-// is the real implementation (streaming over the SoA arrays), and the AoS
-// overload gathers into a batch and delegates — so the whole mechanism
-// roster runs the hot SoA path with no adapter round-trip, and both entry
-// points agree bit-for-bit by construction.
+// Every baseline implements only the CandidateBatch run_round (streaming
+// over the SoA arrays). The AoS overload is the base Mechanism's one
+// gather-and-forward adapter, so both entry points agree bit-for-bit by
+// construction.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +47,7 @@ class MyopicVcgMechanism final : public Mechanism {
   MyopicVcgMechanism() = default;
 
   [[nodiscard]] std::string name() const override { return "myopic-vcg"; }
-  [[nodiscard]] MechanismResult run_round(const std::vector<Candidate>& candidates,
-                                          const RoundContext& context) override;
+  using Mechanism::run_round;
   [[nodiscard]] MechanismResult run_round(const CandidateBatch& batch,
                                           const RoundContext& context) override;
   [[nodiscard]] bool is_truthful() const noexcept override { return true; }
@@ -66,8 +64,7 @@ class PayAsBidGreedyMechanism final : public Mechanism {
   PayAsBidGreedyMechanism() = default;
 
   [[nodiscard]] std::string name() const override { return "pay-as-bid"; }
-  [[nodiscard]] MechanismResult run_round(const std::vector<Candidate>& candidates,
-                                          const RoundContext& context) override;
+  using Mechanism::run_round;
   [[nodiscard]] MechanismResult run_round(const CandidateBatch& batch,
                                           const RoundContext& context) override;
   [[nodiscard]] bool is_truthful() const noexcept override { return false; }
@@ -85,8 +82,7 @@ class FixedPriceMechanism final : public Mechanism {
   explicit FixedPriceMechanism(double price);
 
   [[nodiscard]] std::string name() const override { return "fixed-price"; }
-  [[nodiscard]] MechanismResult run_round(const std::vector<Candidate>& candidates,
-                                          const RoundContext& context) override;
+  using Mechanism::run_round;
   [[nodiscard]] MechanismResult run_round(const CandidateBatch& batch,
                                           const RoundContext& context) override;
   [[nodiscard]] bool is_truthful() const noexcept override { return true; }
@@ -109,8 +105,7 @@ class RandomSelectionMechanism final : public Mechanism {
   RandomSelectionMechanism(double stipend, std::uint64_t seed);
 
   [[nodiscard]] std::string name() const override { return "random-stipend"; }
-  [[nodiscard]] MechanismResult run_round(const std::vector<Candidate>& candidates,
-                                          const RoundContext& context) override;
+  using Mechanism::run_round;
   [[nodiscard]] MechanismResult run_round(const CandidateBatch& batch,
                                           const RoundContext& context) override;
   [[nodiscard]] bool is_truthful() const noexcept override { return true; }
@@ -132,8 +127,7 @@ class FirstBestOracleMechanism final : public Mechanism {
   FirstBestOracleMechanism() = default;
 
   [[nodiscard]] std::string name() const override { return "first-best-oracle"; }
-  [[nodiscard]] MechanismResult run_round(const std::vector<Candidate>& candidates,
-                                          const RoundContext& context) override;
+  using Mechanism::run_round;
   [[nodiscard]] MechanismResult run_round(const CandidateBatch& batch,
                                           const RoundContext& context) override;
   [[nodiscard]] bool is_truthful() const noexcept override { return false; }
@@ -158,8 +152,7 @@ class BudgetedOracleMechanism final : public Mechanism {
                                    std::size_t threads = 1);
 
   [[nodiscard]] std::string name() const override { return "budgeted-oracle"; }
-  [[nodiscard]] MechanismResult run_round(const std::vector<Candidate>& candidates,
-                                          const RoundContext& context) override;
+  using Mechanism::run_round;
   [[nodiscard]] MechanismResult run_round(const CandidateBatch& batch,
                                           const RoundContext& context) override;
   [[nodiscard]] bool is_truthful() const noexcept override { return false; }
@@ -189,8 +182,7 @@ class GreedyConcaveMechanism final : public Mechanism {
   explicit GreedyConcaveMechanism(double scale = 20.0, std::size_t threads = 1);
 
   [[nodiscard]] std::string name() const override { return "greedy-concave"; }
-  [[nodiscard]] MechanismResult run_round(const std::vector<Candidate>& candidates,
-                                          const RoundContext& context) override;
+  using Mechanism::run_round;
   [[nodiscard]] MechanismResult run_round(const CandidateBatch& batch,
                                           const RoundContext& context) override;
   [[nodiscard]] bool is_truthful() const noexcept override { return false; }
@@ -221,8 +213,7 @@ class MyopicVcgExtMechanism final : public Mechanism {
   explicit MyopicVcgExtMechanism(std::size_t threads = 1);
 
   [[nodiscard]] std::string name() const override { return "myopic-vcg-ext"; }
-  [[nodiscard]] MechanismResult run_round(const std::vector<Candidate>& candidates,
-                                          const RoundContext& context) override;
+  using Mechanism::run_round;
   [[nodiscard]] MechanismResult run_round(const CandidateBatch& batch,
                                           const RoundContext& context) override;
   [[nodiscard]] bool is_truthful() const noexcept override { return true; }
@@ -250,8 +241,7 @@ class ProportionalShareMechanism final : public Mechanism {
   ProportionalShareMechanism() = default;
 
   [[nodiscard]] std::string name() const override { return "proportional-share"; }
-  [[nodiscard]] MechanismResult run_round(const std::vector<Candidate>& candidates,
-                                          const RoundContext& context) override;
+  using Mechanism::run_round;
   [[nodiscard]] MechanismResult run_round(const CandidateBatch& batch,
                                           const RoundContext& context) override;
   [[nodiscard]] bool is_truthful() const noexcept override { return true; }

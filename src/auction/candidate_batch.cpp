@@ -1,10 +1,34 @@
 #include "auction/candidate_batch.h"
 
+#include <cmath>
+
 #include "util/require.h"
 
 namespace sfl::auction {
 
 using sfl::util::require;
+
+namespace {
+
+// Non-finite economics never reach the solvers: +inf values or bids break
+// the critical-payment order, and an infinite energy cost turns the Z_i*e_i
+// penalty into NaN when Z_i = 0.
+void require_value(double value) {
+  require(std::isfinite(value) && value >= 0.0,
+          "candidate value must be finite and >= 0");
+}
+
+void require_bid(double bid) {
+  require(std::isfinite(bid) && bid >= 0.0,
+          "candidate bid must be finite and >= 0");
+}
+
+void require_energy_cost(double energy_cost) {
+  require(std::isfinite(energy_cost) && energy_cost > 0.0,
+          "candidate energy cost must be finite and > 0");
+}
+
+}  // namespace
 
 CandidateBatch CandidateBatch::from_aos(std::span<const Candidate> candidates) {
   CandidateBatch batch;
@@ -37,34 +61,19 @@ void CandidateBatch::emplace(ClientId id, double value, double bid,
                              double energy_cost) {
   // Validate-at-construction: one branch triple per element here buys
   // scan-free solver calls every round the slate is reused.
-  require(value >= 0.0, "candidate value must be >= 0");
-  require(bid >= 0.0, "candidate bid must be >= 0");
-  require(energy_cost > 0.0, "candidate energy cost must be > 0");
+  require_value(value);
+  require_bid(bid);
+  require_energy_cost(energy_cost);
   ids_.push_back(id);
   values_.push_back(value);
   bids_.push_back(bid);
   energy_costs_.push_back(energy_cost);
 }
 
-std::vector<Candidate> CandidateBatch::to_aos() const {
-  std::vector<Candidate> candidates;
-  candidates.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) {
-    candidates.push_back(at(i));
-  }
-  return candidates;
-}
-
 void validate_batch(const CandidateBatch& batch) {
-  for (const double v : batch.values()) {
-    require(v >= 0.0, "candidate value must be >= 0");
-  }
-  for (const double b : batch.bids()) {
-    require(b >= 0.0, "candidate bid must be >= 0");
-  }
-  for (const double e : batch.energy_costs()) {
-    require(e > 0.0, "candidate energy cost must be > 0");
-  }
+  for (const double v : batch.values()) require_value(v);
+  for (const double b : batch.bids()) require_bid(b);
+  for (const double e : batch.energy_costs()) require_energy_cost(e);
 }
 
 }  // namespace sfl::auction

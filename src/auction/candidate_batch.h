@@ -1,12 +1,12 @@
-// Structure-of-arrays candidate slate for the batched auction path.
+// Structure-of-arrays candidate slate: the one round input of every
+// mechanism.
 //
-// The AoS `std::vector<Candidate>` interface is convenient for tests and
-// small markets, but the production hot path (score N candidates, select
-// top-m) is a streaming pass over four parallel arrays. CandidateBatch keeps
-// ids, values, bids, and energy costs contiguous so scoring vectorizes and
-// stays cache-resident at N = 100k+; `std::span` views let solvers and
-// payment rules consume the arrays without copying. Converters to/from the
-// AoS representation keep every existing mechanism working unchanged.
+// The production hot path (score N candidates, select top-m) is a streaming
+// pass over four parallel arrays. CandidateBatch keeps ids, values, bids,
+// and energy costs contiguous so scoring vectorizes and stays
+// cache-resident at N = 100k+; `std::span` views let solvers and payment
+// rules consume the arrays without copying. `from_aos` gathers the AoS
+// `std::vector<Candidate>` form that tests and small markets build.
 #pragma once
 
 #include <span>
@@ -31,10 +31,11 @@ class CandidateBatch {
   void clear() noexcept;
 
   /// Appends one candidate. Validation happens HERE, once per slate
-  /// construction (value >= 0, bid >= 0, energy cost > 0; throws
-  /// std::invalid_argument) — the per-round solvers then trust the batch
-  /// and skip the per-candidate scans on the hot path (re-enable them with
-  /// SFL_VALIDATE=1 or a debug build; see util::validate_mode_enabled).
+  /// construction (all three fields finite, value >= 0, bid >= 0, energy
+  /// cost > 0; throws std::invalid_argument) — the per-round solvers then
+  /// trust the batch and skip the per-candidate scans on the hot path
+  /// (re-enable them with SFL_VALIDATE=1 or a debug build; see
+  /// util::validate_mode_enabled).
   void push_back(const Candidate& candidate);
   void emplace(ClientId id, double value, double bid, double energy_cost);
 
@@ -45,10 +46,6 @@ class CandidateBatch {
                      .bid = bids_[index],
                      .energy_cost = energy_costs_[index]};
   }
-
-  /// Scatters back to the AoS representation (adapter for mechanisms that
-  /// have no native batch path).
-  [[nodiscard]] std::vector<Candidate> to_aos() const;
 
   [[nodiscard]] std::span<const ClientId> ids() const noexcept { return ids_; }
   [[nodiscard]] std::span<const double> values() const noexcept {

@@ -2,10 +2,9 @@
 
 namespace sfl::auction {
 
-MechanismResult Mechanism::run_round(const CandidateBatch& batch,
+MechanismResult Mechanism::run_round(const std::vector<Candidate>& candidates,
                                      const RoundContext& context) {
-  // Default adapter: AoS-only mechanisms see the slate they expect.
-  return run_round(batch.to_aos(), context);
+  return run_round(CandidateBatch::from_aos(candidates), context);
 }
 
 void Mechanism::run_round_into(const CandidateBatch& batch,
@@ -15,20 +14,5 @@ void Mechanism::run_round_into(const CandidateBatch& batch,
   // they just pay the allocating round's cost.
   out = run_round(batch, context);
 }
-
-void Mechanism::settle(const RoundSettlement& settlement) {
-  // Compatibility default: fold the settlement down to the legacy
-  // observation so mechanisms that only override observe() keep working.
-  RoundObservation observation;
-  observation.round = settlement.round;
-  observation.total_payment = settlement.total_payment;
-  observation.winners.reserve(settlement.winners.size());
-  for (const WinnerSettlement& w : settlement.winners) {
-    if (!w.dropped) observation.winners.push_back(w.client);
-  }
-  observe(observation);
-}
-
-void Mechanism::observe(const RoundObservation& /*observation*/) {}
 
 }  // namespace sfl::auction

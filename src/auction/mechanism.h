@@ -1,18 +1,17 @@
 // Round-level mechanism interface (v2).
 //
 // A mechanism is the full auction rule: given the round's candidates (ids,
-// public values, bids), it picks winners and payments. Candidates arrive
-// either as the classic AoS vector or as a batched SoA CandidateBatch (the
-// production hot path); a default adapter keeps AoS-only mechanisms working
-// under the batch entry point and vice versa.
+// public values, bids, energy costs) as a SoA CandidateBatch, it picks
+// winners and payments. The batch is the one round input every rule
+// implements; the AoS `std::vector<Candidate>` overload is a base-class
+// convenience that gathers into a batch and forwards.
 //
 // After the round settles in the real world (payments cleared, dropouts
 // known), the caller reports back via `settle(RoundSettlement)`: per-winner
-// realized payments, winning bids, energy costs, and dropout flags. Stateful
-// mechanisms (the long-term online VCG in sfl::core) update their virtual
-// queues there. The older `observe(RoundObservation)` — which only carried
-// the round's total payment — survives as a deprecated shim for existing
-// callers and is routed into settle() by default.
+// realized payments, winning bids, energy costs, and dropout flags. It is
+// the one feedback path: stateful mechanisms (the long-term online VCG in
+// sfl::core, the adaptive posted price) update their state there; the base
+// settle() is a no-op for stateless rules.
 #pragma once
 
 #include <memory>
@@ -24,9 +23,11 @@
 
 namespace sfl::auction {
 
-/// Realized outcome of a round as reported by the legacy observe() API.
-/// Deprecated: lossy (no per-winner payments, bids, or dropout flags).
-/// New code reports RoundSettlement through settle().
+/// Payload of the retired observe() hook. Nothing in the library reads it:
+/// it and the base no-op observe() remain only so that perfbench's
+/// mechanism decorator (perfbench/src/fl_harvest.cpp), which overrides and
+/// forwards observe(), keeps compiling. Report round
+/// outcomes through settle(RoundSettlement).
 struct RoundObservation {
   std::size_t round = 0;
   double total_payment = 0.0;
@@ -91,17 +92,17 @@ class Mechanism {
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Selects winners and payments for one round. Must be deterministic given
-  /// (candidates, context, internal state) unless the rule is explicitly
+  /// (batch, context, internal state) unless the rule is explicitly
   /// randomized (RandomSelectionMechanism).
   [[nodiscard]] virtual MechanismResult run_round(
-      const std::vector<Candidate>& candidates, const RoundContext& context) = 0;
+      const CandidateBatch& batch, const RoundContext& context) = 0;
 
-  /// Batched SoA entry point. The default adapter scatters the batch back to
-  /// AoS and calls the vector overload, so existing mechanisms work
-  /// unchanged; hot-path mechanisms override this to stay in SoA form.
-  /// Overrides must produce results identical to the AoS path.
-  [[nodiscard]] virtual MechanismResult run_round(const CandidateBatch& batch,
-                                                  const RoundContext& context);
+  /// AoS convenience: gathers the slate with CandidateBatch::from_aos and
+  /// calls the batch overload. Mechanisms do not override it; it is virtual
+  /// only because perfbench's decorator overrides it. Concrete classes
+  /// re-expose it with `using Mechanism::run_round;`.
+  [[nodiscard]] virtual MechanismResult run_round(
+      const std::vector<Candidate>& candidates, const RoundContext& context);
 
   /// Steady-state entry point of the zero-allocation round pipeline: the
   /// caller owns `out` and reuses it across rounds, so a mechanism override
@@ -113,15 +114,15 @@ class Mechanism {
                               const RoundContext& context,
                               MechanismResult& out);
 
-  /// Reports the round's realized outcome. Default: synthesizes a legacy
-  /// RoundObservation (round, total payment, delivered winners) and forwards
-  /// to observe(), so mechanisms that only implement the old hook keep
-  /// working. Stateful mechanisms override this to read the full settlement.
-  virtual void settle(const RoundSettlement& settlement);
+  /// Reports the round's realized outcome. Default: no-op (stateless
+  /// rules have nothing to update, and nothing allocates). Stateful
+  /// mechanisms override this to read the full settlement.
+  virtual void settle(const RoundSettlement& /*settlement*/) {}
 
-  /// Deprecated lossy predecessor of settle(); default no-op. Kept so
-  /// pre-settlement callers and tests compile unchanged.
-  virtual void observe(const RoundObservation& observation);
+  /// Retired predecessor of settle(): a no-op that no library mechanism
+  /// overrides or calls. Kept only so perfbench's decorator, which
+  /// overrides and forwards it, keeps compiling.
+  virtual void observe(const RoundObservation& /*observation*/) {}
 
   /// Declares how an async executor may schedule this rule's settle()
   /// calls. Default is the conservative strict round order; rules whose

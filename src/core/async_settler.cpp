@@ -155,13 +155,6 @@ AsyncSettlementMechanism::AsyncSettlementMechanism(
     : inner_(require_inner(std::move(inner))), settler_(*inner_, config) {}
 
 sfl::auction::MechanismResult AsyncSettlementMechanism::run_round(
-    const std::vector<sfl::auction::Candidate>& candidates,
-    const sfl::auction::RoundContext& context) {
-  settler_.flush();
-  return inner_->run_round(candidates, context);
-}
-
-sfl::auction::MechanismResult AsyncSettlementMechanism::run_round(
     const sfl::auction::CandidateBatch& batch,
     const sfl::auction::RoundContext& context) {
   settler_.flush();
@@ -179,14 +172,6 @@ void AsyncSettlementMechanism::run_round_into(
 void AsyncSettlementMechanism::settle(const RoundSettlement& settlement) {
   enqueue_slot_ = settlement;  // copy-assign reuses the slot's capacity
   settler_.enqueue(enqueue_slot_);
-}
-
-void AsyncSettlementMechanism::observe(
-    const sfl::auction::RoundObservation& observation) {
-  // The legacy shim reconstructs state from the inner rule's round cache,
-  // so it must run synchronously against settled state.
-  settler_.flush();
-  inner_->observe(observation);
 }
 
 }  // namespace sfl::core

@@ -141,8 +141,8 @@ class AsyncSettler {
 
 /// Decorator that makes any registry mechanism settle asynchronously while
 /// preserving its observable behavior: settle() enqueues onto an
-/// AsyncSettler; every run_round entry point (and observe(), and flush())
-/// first drains the queue, so the wrapped rule always scores the next round
+/// AsyncSettler; every run_round entry point (and flush()) first drains
+/// the queue, so the wrapped rule always scores the next round
 /// against fully-settled state — trajectories stay bit-identical to the
 /// synchronous path. Built by the registry under "lto-vcg-async" and by
 /// MechanismConfig.lto.async_settle; the orchestrator wraps with it when
@@ -155,9 +155,7 @@ class AsyncSettlementMechanism final : public sfl::auction::Mechanism {
 
   [[nodiscard]] std::string name() const override { return inner_->name(); }
 
-  [[nodiscard]] sfl::auction::MechanismResult run_round(
-      const std::vector<sfl::auction::Candidate>& candidates,
-      const sfl::auction::RoundContext& context) override;
+  using sfl::auction::Mechanism::run_round;
   [[nodiscard]] sfl::auction::MechanismResult run_round(
       const sfl::auction::CandidateBatch& batch,
       const sfl::auction::RoundContext& context) override;
@@ -167,7 +165,6 @@ class AsyncSettlementMechanism final : public sfl::auction::Mechanism {
 
   /// Enqueues and returns; the inner settle() runs on the pool.
   void settle(const sfl::auction::RoundSettlement& settlement) override;
-  void observe(const sfl::auction::RoundObservation& observation) override;
 
   [[nodiscard]] sfl::auction::SettlementOrdering settlement_ordering()
       const noexcept override {

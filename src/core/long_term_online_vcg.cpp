@@ -14,7 +14,6 @@ using sfl::auction::CandidateBatch;
 using sfl::auction::MechanismResult;
 using sfl::auction::Penalties;
 using sfl::auction::RoundContext;
-using sfl::auction::RoundObservation;
 using sfl::auction::RoundSettlement;
 using sfl::auction::ScoreWeights;
 using sfl::auction::RoundScratch;
@@ -69,13 +68,6 @@ void LongTermOnlineVcgMechanism::penalties_into(
             "candidate id outside the configured energy-rate table");
     out.push_back(sustainability_queues_->backlog(ids[i]) * energy_costs[i]);
   }
-}
-
-MechanismResult LongTermOnlineVcgMechanism::run_round(
-    const std::vector<Candidate>& candidates, const RoundContext& context) {
-  // Single implementation: the AoS slate is gathered into SoA form and runs
-  // the same batch path, so both entry points agree bit-for-bit.
-  return run_round(CandidateBatch::from_aos(candidates), context);
 }
 
 MechanismResult LongTermOnlineVcgMechanism::run_round(
@@ -154,34 +146,23 @@ void LongTermOnlineVcgMechanism::fill_result(const CandidateBatch& batch,
   require(payments.size() == selected.size(),
           "one payment per winner required");
   const std::span<const sfl::auction::ClientId> ids = batch.ids();
-  const std::span<const double> bids = batch.bids();
-  const std::span<const double> energy_costs = batch.energy_costs();
 
   out.winners.clear();
   out.payments.clear();
-  // Cache this round's winners for the deprecated observe() shim; settle()
-  // never reads it.
-  last_round_winners_.clear();
   for (std::size_t k = 0; k < selected.size(); ++k) {
     const std::size_t index =
         sfl::util::checked_index(selected[k], batch.size(), "winner");
     out.winners.push_back(ids[index]);
     out.payments.push_back(payments[k]);
-    last_round_winners_.push_back(
-        WinnerSettlement{.client = ids[index],
-                         .bid = bids[index],
-                         .payment = 0.0,
-                         .energy_cost = energy_costs[index],
-                         .dropped = false});
   }
 }
 
 void LongTermOnlineVcgMechanism::settle(const RoundSettlement& settlement) {
-  // Idempotency guard: the settle()+observe() double-report pattern (or a
-  // retried settlement) must not push the same round into the queues
-  // twice. A duplicate is a settlement that arrives with no new auction
-  // round opened since the last one AND the same round stamp — so drivers
-  // that settle once per run_round (stamped or not) are untouched.
+  // Idempotency guard: a retried settlement must not push the same round
+  // into the queues twice. A duplicate is a settlement that arrives with no
+  // new auction round opened since the last one AND the same round stamp —
+  // so drivers that settle once per run_round (stamped or not) are
+  // untouched.
   if (!round_open_ && settlement.round == last_settled_round_) return;
 
   // Validate BEFORE mutating any queue: settle() is exception-atomic, so a
@@ -218,30 +199,9 @@ void LongTermOnlineVcgMechanism::settle(const RoundSettlement& settlement) {
     sustainability_queues_->update_all(settle_arrivals_);
   }
   // Stamped only after a fully-applied settlement, so a throwing settle
-  // (bad winner id) is not remembered as settled. The observe() cache is
-  // consumed: the shim can no longer rebuild (and double-apply) a round
-  // that settle() already handled, whatever round stamp it carries.
+  // (bad winner id) is not remembered as settled.
   last_settled_round_ = settlement.round;
   round_open_ = false;
-  last_round_winners_.clear();
-}
-
-void LongTermOnlineVcgMechanism::observe(const RoundObservation& observation) {
-  // Double-report guard, stamp-independent: a closed round whose winner
-  // cache is gone was already settled through settle(), so this
-  // observation is the legacy half of a double report — even when the two
-  // reports disagree on round stamps (unstamped settle + stamped observe).
-  if (!round_open_ && last_round_winners_.empty()) return;
-
-  // Deprecated shim: legacy callers only report the round total, so the
-  // per-winner breakdown (bids for the proxy queue, energy costs for the Z
-  // queues) is rebuilt from this round's own allocation.
-  RoundSettlement settlement;
-  settlement.round = observation.round;
-  settlement.total_payment = observation.total_payment;
-  settlement.winners = last_round_winners_;
-  last_round_winners_.clear();
-  settle(settlement);
 }
 
 }  // namespace sfl::core

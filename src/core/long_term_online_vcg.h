@@ -108,11 +108,8 @@ class LongTermOnlineVcgMechanism final : public sfl::auction::Mechanism {
   explicit LongTermOnlineVcgMechanism(const LtoVcgConfig& config);
 
   [[nodiscard]] std::string name() const override { return config_.name; }
-  [[nodiscard]] sfl::auction::MechanismResult run_round(
-      const std::vector<sfl::auction::Candidate>& candidates,
-      const sfl::auction::RoundContext& context) override;
-  /// Native SoA path: scores, selects, and prices directly on the batch
-  /// arrays. Bit-identical to the AoS overload.
+  using sfl::auction::Mechanism::run_round;
+  /// Scores, selects, and prices directly on the batch arrays.
   [[nodiscard]] sfl::auction::MechanismResult run_round(
       const sfl::auction::CandidateBatch& batch,
       const sfl::auction::RoundContext& context) override;
@@ -126,11 +123,8 @@ class LongTermOnlineVcgMechanism final : public sfl::auction::Mechanism {
   /// (or the bid proxy), each winner's Z sees its energy cost.
   ///
   /// Idempotent per round: with no new auction round opened since the
-  /// last applied settlement, a re-report with the same round stamp is
-  /// dropped here, and the observe() shim refuses any report once
-  /// settle() consumed the round's winner cache (stamp-independent) — so
-  /// a caller that reports through BOTH settle() and the deprecated
-  /// observe() shim in one round cannot double-apply the queue updates.
+  /// last applied settlement, a retried report with the same round stamp
+  /// is dropped, so a retry cannot double-apply the queue updates.
   void settle(const sfl::auction::RoundSettlement& settlement) override;
 
   /// Queue updates depend on application order (max(0, .) clamps), so the
@@ -140,11 +134,6 @@ class LongTermOnlineVcgMechanism final : public sfl::auction::Mechanism {
       const noexcept override {
     return sfl::auction::SettlementOrdering::kRoundOrder;
   }
-
-  /// Deprecated shim: reconstructs a settlement for callers that only
-  /// report the legacy (round, total payment) observation. Bids and energy
-  /// costs come from this round's own allocation, cached by run_round.
-  void observe(const sfl::auction::RoundObservation& observation) override;
 
   [[nodiscard]] bool is_truthful() const noexcept override { return true; }
 
@@ -207,7 +196,7 @@ class LongTermOnlineVcgMechanism final : public sfl::auction::Mechanism {
                       sfl::auction::Penalties& out);
 
   /// Shared tail of the round paths: publishes winners/payments into `out`
-  /// (reusing its capacity) and caches the winners for the observe() shim.
+  /// (reusing its capacity).
   void fill_result(const sfl::auction::CandidateBatch& batch,
                    std::span<const std::size_t> selected,
                    std::span<const double> payments,
@@ -235,17 +224,12 @@ class LongTermOnlineVcgMechanism final : public sfl::auction::Mechanism {
   /// Reused Z-queue arrival accumulator (settle() stays allocation-free).
   std::vector<double> settle_arrivals_;
 
-  /// Last round's winners (client, bid, energy) — consumed ONLY by the
-  /// deprecated observe() shim, which must rebuild the settlement a legacy
-  /// caller cannot supply. settle() itself is stateless across rounds.
-  std::vector<sfl::auction::WinnerSettlement> last_round_winners_;
-
   /// Per-round idempotency guard behind settle(): run_round opens a round;
   /// the first settlement applied closes it. A settlement arriving with
-  /// the round closed AND re-reporting the last settled round stamp is the
-  /// settle()+observe() double report and is dropped. Keying on the flag
-  /// (not the stamp alone) keeps legacy drivers working that settle many
-  /// rounds without ever stamping RoundSettlement::round.
+  /// the round closed AND re-reporting the last settled round stamp is a
+  /// retry and is dropped. Keying on the flag (not the stamp alone) keeps
+  /// drivers working that settle many rounds without ever stamping
+  /// RoundSettlement::round.
   bool round_open_ = true;
   std::size_t last_settled_round_ = static_cast<std::size_t>(-1);
 };

@@ -1,5 +1,6 @@
 #include "fl/federated_trainer.h"
 
+#include <exception>
 #include <unordered_set>
 
 #include "data/matrix.h"
@@ -49,7 +50,22 @@ DetailedRound FederatedTrainer::run_round_detailed(
                                              round_spec, client_rngs_[client]);
   };
   if (pool_ != nullptr && participants.size() > 1) {
-    pool_->parallel_for(participants.size(), train_one);
+    // One chunk per participant: chunk c covers exactly slot c. The pool's
+    // fn must not throw, so a slot's error is parked and the first one
+    // rethrown after the join, as on the sequential path.
+    std::vector<std::exception_ptr> slot_errors(participants.size());
+    pool_->parallel_for_chunks(
+        participants.size(), participants.size(),
+        [&](std::size_t slot, std::size_t, std::size_t) {
+          try {
+            train_one(slot);
+          } catch (...) {
+            slot_errors[slot] = std::current_exception();
+          }
+        });
+    for (const std::exception_ptr& error : slot_errors) {
+      if (error) std::rethrow_exception(error);
+    }
   } else {
     for (std::size_t slot = 0; slot < participants.size(); ++slot) train_one(slot);
   }

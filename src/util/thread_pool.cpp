@@ -41,15 +41,6 @@ void ThreadPool::wait_idle() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& fn) {
-  require(static_cast<bool>(fn), "parallel_for requires a callable");
-  for (std::size_t i = 0; i < count; ++i) {
-    submit([&fn, i] { fn(i); });
-  }
-  wait_idle();
-}
-
 std::pair<std::size_t, std::size_t> ThreadPool::chunk_range(
     std::size_t total, std::size_t chunks, std::size_t chunk) noexcept {
   // total * chunk stays in 64 bits for any realistic (total, chunks): the

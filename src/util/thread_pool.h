@@ -4,12 +4,14 @@
 // time, so settlement never monopolizes a worker).
 //
 // Two execution modes:
-//  - submit()/wait_idle(): queued void tasks (the original API; local client
-//    training uses it). Each submit allocates a task node.
-//  - parallel_for_chunks(): a blocking fork-join loop over index ranges with
-//    stable chunking. The calling thread participates, workers race over an
-//    atomic chunk cursor, and the call performs ZERO heap allocations — this
-//    is the entry point the allocation-free auction round pipeline relies on.
+//  - submit()/wait_idle(): queued void tasks (the async settlement drain
+//    uses it). Each submit allocates a task node.
+//  - parallel_for_chunks(): the one data-parallel loop — a blocking
+//    fork-join over index ranges with stable chunking. The calling thread
+//    participates, workers race over an atomic chunk cursor, and the call
+//    performs ZERO heap allocations. The allocation-free auction round
+//    pipeline relies on it; local client training runs one chunk per
+//    participant through it.
 //
 // Determinism note: tasks must not share RNG streams; the simulator gives
 // each client its own split stream, so execution order never changes results.
@@ -48,11 +50,6 @@ class ThreadPool {
   void wait_idle();
 
   [[nodiscard]] std::size_t thread_count() const noexcept { return workers_.size(); }
-
-  /// Runs `fn(i)` for i in [0, count), distributing across the pool, and
-  /// waits for completion. Equivalent to a parallel for loop. Allocates one
-  /// task node per index; prefer parallel_for_chunks on hot paths.
-  void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
   /// Stable chunk layout shared by every caller: chunk `c` of `chunks` over
   /// `total` items covers [c*total/chunks, (c+1)*total/chunks). Contiguous,

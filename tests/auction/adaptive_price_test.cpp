@@ -15,6 +15,14 @@ AdaptivePriceConfig default_config() {
   return config;
 }
 
+/// A settlement that reports only the round's total spend (the price step
+/// reads nothing else while the round is open).
+RoundSettlement spend(double total_payment) {
+  RoundSettlement settlement;
+  settlement.total_payment = total_payment;
+  return settlement;
+}
+
 RoundContext ctx(std::size_t m, double budget) {
   RoundContext context;
   context.max_winners = m;
@@ -47,17 +55,13 @@ TEST(AdaptivePriceTest, AcceptsOnlyBidsAtOrBelowPrice) {
 
 TEST(AdaptivePriceTest, PriceFallsAfterOverspendRisesAfterUnderspend) {
   AdaptivePostedPriceMechanism mech(default_config());
-  RoundObservation over;
-  over.total_payment = 100.0;
   std::vector<Candidate> candidates{
       Candidate{.id = 0, .value = 1.0, .bid = 0.5, .energy_cost = 1.0}};
   (void)mech.run_round(candidates, ctx(1, 2.0));  // sets last budget
-  mech.observe(over);
+  mech.settle(spend(100.0));
   EXPECT_DOUBLE_EQ(mech.current_price(), 0.95);
-  RoundObservation under;
-  under.total_payment = 0.0;
   (void)mech.run_round(candidates, ctx(1, 2.0));
-  mech.observe(under);
+  mech.settle(spend(0.0));
   EXPECT_NEAR(mech.current_price(), 0.95 * 1.05, 1e-12);
 }
 
@@ -70,16 +74,12 @@ TEST(AdaptivePriceTest, PriceStaysWithinBounds) {
       Candidate{.id = 0, .value = 1.0, .bid = 0.1, .energy_cost = 1.0}};
   for (int i = 0; i < 100; ++i) {
     (void)mech.run_round(candidates, ctx(1, 1.0));
-    RoundObservation obs;
-    obs.total_payment = 100.0;  // always overspending
-    mech.observe(obs);
+    mech.settle(spend(100.0));  // always overspending
   }
   EXPECT_DOUBLE_EQ(mech.current_price(), 0.5);
   for (int i = 0; i < 200; ++i) {
     (void)mech.run_round(candidates, ctx(1, 1.0));
-    RoundObservation obs;
-    obs.total_payment = 0.0;  // always underspending
-    mech.observe(obs);
+    mech.settle(spend(0.0));  // always underspending
   }
   EXPECT_DOUBLE_EQ(mech.current_price(), 2.0);
 }
@@ -101,9 +101,7 @@ TEST(AdaptivePriceTest, TracksBudgetInAStationaryMarket) {
     }
     const MechanismResult result = mech.run_round(candidates, ctx(10, 4.0));
     total_payment += result.total_payment();
-    RoundObservation obs;
-    obs.total_payment = result.total_payment();
-    mech.observe(obs);
+    mech.settle(spend(result.total_payment()));
   }
   const double average = total_payment / rounds;
   EXPECT_GT(average, 2.5);

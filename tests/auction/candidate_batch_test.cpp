@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <vector>
+
 #include "auction/payments.h"
 #include "auction/random_instance.h"
 #include "auction/registry.h"
@@ -11,7 +15,7 @@
 namespace sfl::auction {
 namespace {
 
-TEST(CandidateBatchTest, AosRoundTripPreservesEveryField) {
+TEST(CandidateBatchTest, FromAosPreservesEveryField) {
   sfl::util::Rng rng(11);
   RandomInstanceSpec spec;
   spec.num_candidates = 17;
@@ -19,17 +23,44 @@ TEST(CandidateBatchTest, AosRoundTripPreservesEveryField) {
 
   const CandidateBatch batch = CandidateBatch::from_aos(instance.candidates);
   ASSERT_EQ(batch.size(), instance.candidates.size());
-  const std::vector<Candidate> back = batch.to_aos();
-  ASSERT_EQ(back.size(), instance.candidates.size());
-  for (std::size_t i = 0; i < back.size(); ++i) {
-    EXPECT_EQ(back[i].id, instance.candidates[i].id);
-    EXPECT_EQ(back[i].value, instance.candidates[i].value);
-    EXPECT_EQ(back[i].bid, instance.candidates[i].bid);
-    EXPECT_EQ(back[i].energy_cost, instance.candidates[i].energy_cost);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const Candidate& expected = instance.candidates[i];
+    EXPECT_EQ(batch.ids()[i], expected.id);
+    EXPECT_EQ(batch.values()[i], expected.value);
+    EXPECT_EQ(batch.bids()[i], expected.bid);
+    EXPECT_EQ(batch.energy_costs()[i], expected.energy_cost);
     const Candidate gathered = batch.at(i);
-    EXPECT_EQ(gathered.id, instance.candidates[i].id);
-    EXPECT_EQ(gathered.bid, instance.candidates[i].bid);
+    EXPECT_EQ(gathered.id, expected.id);
+    EXPECT_EQ(gathered.value, expected.value);
+    EXPECT_EQ(gathered.bid, expected.bid);
+    EXPECT_EQ(gathered.energy_cost, expected.energy_cost);
   }
+}
+
+TEST(CandidateBatchTest, RejectsNonFiniteFields) {
+  // +inf or NaN in any economic field must fail at the input boundary: an
+  // infinite value breaks the critical-payment order, and an infinite
+  // energy cost turns a zero Z-queue penalty into NaN.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {kInf, kNaN}) {
+    CandidateBatch batch;
+    EXPECT_THROW(batch.emplace(0, bad, 1.0, 1.0), std::invalid_argument);
+    EXPECT_THROW(batch.emplace(0, 2.0, bad, 1.0), std::invalid_argument);
+    EXPECT_THROW(batch.emplace(0, 2.0, 1.0, bad), std::invalid_argument);
+    EXPECT_THROW(batch.push_back(Candidate{
+                     .id = 0, .value = bad, .bid = 1.0, .energy_cost = 1.0}),
+                 std::invalid_argument);
+    const std::vector<Candidate> slate{
+        Candidate{.id = 0, .value = 2.0, .bid = 1.0, .energy_cost = 1.0},
+        Candidate{.id = 1, .value = 2.0, .bid = 1.0, .energy_cost = bad}};
+    EXPECT_THROW((void)CandidateBatch::from_aos(slate), std::invalid_argument);
+    EXPECT_TRUE(batch.empty());  // nothing half-appended
+  }
+  CandidateBatch batch;
+  EXPECT_THROW(batch.emplace(0, 2.0, -kInf, 1.0), std::invalid_argument);
+  batch.emplace(0, 2.0, 1.0, 1.0);
+  EXPECT_NO_THROW(validate_batch(batch));
 }
 
 TEST(CandidateBatchTest, EmplaceAndClear) {
@@ -83,9 +114,8 @@ TEST(CandidateBatchTest, SelectTopMMatchesAosBitForBit) {
 }
 
 TEST(CandidateBatchTest, DefaultAdapterMatchesAosForEveryRegistryMechanism) {
-  // Running a mechanism through the batch entry point must give the same
-  // winners and payments as the AoS entry point — natively for mechanisms
-  // that override the batch path (lto-vcg), via the adapter for the rest.
+  // Running a mechanism through the base AoS adapter must give the same
+  // winners and payments as the batch entry point every rule implements.
   // Randomized rules need twin instances so both paths see the same stream.
   MechanismConfig config;
   config.num_clients = 12;

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "auction/baselines.h"
 #include "auction/round_scratch.h"
 #include "auction/sharded_wdp.h"
 #include "core/long_term_online_vcg.h"
@@ -212,6 +213,49 @@ TEST(RoundScratchAllocTest, LtoMechanismRoundAndSettleAreAllocationFree) {
   const std::size_t after = g_allocations.load();
   EXPECT_EQ(after - before, 0u)
       << "steady-state LTO rounds (run_round_into + settle) allocated";
+}
+
+TEST(RoundScratchAllocTest, StatelessRuleSettleIsAllocationFree) {
+  // A stateless rule's settle() is the base no-op: reporting a round with
+  // winners must not allocate. myopic-vcg's run_round_into is the base
+  // adapter that returns a fresh result, so only the settle() calls are
+  // counted; the rounds still run so every settlement reports real winners.
+  constexpr std::size_t kClients = 500;
+  MyopicVcgMechanism mechanism;
+  RoundContext context;
+  context.max_winners = 8;
+  sfl::util::Rng rng(80);
+  CandidateBatch batch;
+  batch.reserve(kClients);
+  MechanismResult outcome;
+  RoundSettlement settlement;
+  settlement.winners.reserve(context.max_winners);
+
+  std::size_t settle_allocations = 0;
+  std::size_t settled_winners = 0;
+  for (std::size_t round = 0; round < 10; ++round) {
+    context.round = round;
+    refill_batch(batch, kClients, rng);
+    mechanism.run_round_into(batch, context, outcome);
+    settlement.round = round;
+    settlement.total_payment = outcome.total_payment();
+    settlement.winners.clear();
+    for (std::size_t w = 0; w < outcome.winners.size(); ++w) {
+      settlement.winners.push_back(
+          WinnerSettlement{.client = outcome.winners[w],
+                           .bid = batch.bids()[outcome.winners[w]],
+                           .payment = outcome.payments[w],
+                           .energy_cost = 1.0,
+                           .dropped = false});
+    }
+    settled_winners += settlement.winners.size();
+    const std::size_t before = g_allocations.load();
+    mechanism.settle(settlement);
+    settle_allocations += g_allocations.load() - before;
+  }
+  ASSERT_GT(settled_winners, 0u) << "no winners settled; test is vacuous";
+  EXPECT_EQ(settle_allocations, 0u)
+      << "settle() with winners allocated on a stateless rule";
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Time-varying budget schedules in the LTO-VCG mechanism.
 #include <gtest/gtest.h>
 
+#include "full_delivery.h"
 #include "core/long_term_online_vcg.h"
 #include "core/market_simulation.h"
 
@@ -10,7 +11,6 @@ namespace {
 using sfl::auction::Candidate;
 using sfl::auction::MechanismResult;
 using sfl::auction::RoundContext;
-using sfl::auction::RoundObservation;
 
 TEST(BudgetScheduleTest, RejectsNonPositiveScheduledBudgets) {
   LtoVcgConfig config;
@@ -43,10 +43,7 @@ TEST(BudgetScheduleTest, AveragePaymentTracksScheduleMean) {
     context.round = round;
     const MechanismResult result = mech.run_round(market, context);
     total_payment += result.total_payment();
-    RoundObservation obs;
-    obs.round = round;
-    obs.total_payment = result.total_payment();
-    mech.observe(obs);
+    mech.settle(full_delivery(market, result, round));
   }
   const double average = total_payment / static_cast<double>(rounds);
   // Unconstrained spend for this market is far above 6; the schedule must
@@ -77,11 +74,8 @@ TEST(BudgetScheduleTest, ConstantScheduleMatchesPlainBudget) {
     const MechanismResult rb = b.run_round(market, context);
     ASSERT_EQ(ra.winners, rb.winners) << round;
     ASSERT_EQ(ra.payments, rb.payments) << round;
-    RoundObservation obs;
-    obs.round = round;
-    obs.total_payment = ra.total_payment();
-    a.observe(obs);
-    b.observe(obs);
+    a.settle(full_delivery(market, ra, round));
+    b.settle(full_delivery(market, ra, round));
   }
   EXPECT_DOUBLE_EQ(a.budget_backlog(), b.budget_backlog());
 }
@@ -110,10 +104,7 @@ TEST(BudgetScheduleTest, SpendFollowsThePhases) {
     context.round = round;
     const MechanismResult result = mech.run_round(market, context);
     total += result.total_payment();
-    RoundObservation obs;
-    obs.round = round;
-    obs.total_payment = result.total_payment();
-    mech.observe(obs);
+    mech.settle(full_delivery(market, result, round));
   }
   // Mean of the schedule is 5: long-run average spend respects it.
   EXPECT_LE(total / static_cast<double>(rounds), 5.0 * 1.05);

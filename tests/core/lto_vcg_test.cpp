@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "auction/random_instance.h"
+#include "full_delivery.h"
 #include "util/rng.h"
 
 namespace sfl::core {
@@ -11,7 +12,6 @@ namespace {
 using sfl::auction::Candidate;
 using sfl::auction::MechanismResult;
 using sfl::auction::RoundContext;
-using sfl::auction::RoundObservation;
 
 LtoVcgConfig small_config() {
   LtoVcgConfig config;
@@ -74,11 +74,8 @@ TEST(LtoVcgTest, QueueGrowsWhenOverBudgetAndTightensSelection) {
     const MechanismResult result = mech.run_round(market(), ctx(3));
     if (round == 0) first_round_winners = result.winners.size();
     if (round == 59) late_round_winners = result.winners.size();
-    RoundObservation obs;
-    obs.round = static_cast<std::size_t>(round);
-    obs.total_payment = result.total_payment();
-    obs.winners = result.winners;
-    mech.observe(obs);
+    mech.settle(
+        full_delivery(market(), result, static_cast<std::size_t>(round)));
     previous_backlog = mech.budget_backlog();
   }
   (void)previous_backlog;
@@ -95,10 +92,7 @@ TEST(LtoVcgTest, LongRunAveragePaymentMeetsBudget) {
   for (int round = 0; round < rounds; ++round) {
     const MechanismResult result = mech.run_round(market(), ctx(3));
     total_payment += result.total_payment();
-    RoundObservation obs;
-    obs.total_payment = result.total_payment();
-    obs.winners = result.winners;
-    mech.observe(obs);
+    mech.settle(full_delivery(market(), result, 0));
   }
   // Long-term constraint: average payment <= B-bar within a small tolerance
   // (the O(V)/t transient).
@@ -118,9 +112,7 @@ TEST(LtoVcgTest, PaymentsCoverBidsEveryRound) {
     for (const auto id : result.winners) {
       EXPECT_GE(result.payment_for(id), instance.candidates[id].bid - 1e-9);
     }
-    RoundObservation obs;
-    obs.total_payment = result.total_payment();
-    mech.observe(obs);
+    mech.settle(full_delivery(instance.candidates, result, 0));
   }
 }
 
@@ -144,11 +136,8 @@ TEST(LtoVcgTest, PaymentRulesCoincide) {
     for (std::size_t k = 0; k < a.payments.size(); ++k) {
       EXPECT_NEAR(a.payments[k], b.payments[k], 1e-9) << "round " << round;
     }
-    RoundObservation obs;
-    obs.total_payment = a.total_payment();
-    obs.winners = a.winners;
-    critical.observe(obs);
-    vcg.observe(obs);
+    critical.settle(full_delivery(instance.candidates, a, 0));
+    vcg.settle(full_delivery(instance.candidates, a, 0));
   }
 }
 
@@ -169,10 +158,7 @@ TEST(LtoVcgTest, SustainabilityQueuesPaceHeavyWinners) {
   for (int round = 0; round < rounds; ++round) {
     const MechanismResult result = mech.run_round(candidates, ctx(1));
     if (result.won(0)) ++wins0;
-    RoundObservation obs;
-    obs.total_payment = result.total_payment();
-    obs.winners = result.winners;
-    mech.observe(obs);
+    mech.settle(full_delivery(candidates, result, 0));
   }
   EXPECT_LT(wins0 / static_cast<double>(rounds), 0.35);
   EXPECT_GT(wins0 / static_cast<double>(rounds), 0.15);
@@ -184,10 +170,7 @@ TEST(LtoVcgTest, SustainabilityBacklogAccessor) {
   LongTermOnlineVcgMechanism mech(config);
   EXPECT_DOUBLE_EQ(mech.sustainability_backlog(0), 0.0);
   const MechanismResult result = mech.run_round(market(), ctx(3));
-  RoundObservation obs;
-  obs.total_payment = result.total_payment();
-  obs.winners = result.winners;
-  mech.observe(obs);
+  mech.settle(full_delivery(market(), result, 0));
   // Winners' queues grew by e_i - r_i = 0.9.
   for (const auto id : result.winners) {
     EXPECT_NEAR(mech.sustainability_backlog(id), 0.9, 1e-12);
@@ -213,9 +196,7 @@ TEST(LtoVcgTest, BidProxyQueueModeStillStabilizesBudget) {
   for (int round = 0; round < rounds; ++round) {
     const MechanismResult result = mech.run_round(market(), ctx(3));
     total_payment += result.total_payment();
-    RoundObservation obs;
-    obs.total_payment = result.total_payment();
-    mech.observe(obs);
+    mech.settle(full_delivery(market(), result, 0));
   }
   // Bids under-estimate payments, so allow a looser tolerance; the queue
   // must still prevent unbounded overspend.
@@ -229,9 +210,7 @@ TEST(LtoVcgTest, HigherVToleratesLargerBacklog) {
     LongTermOnlineVcgMechanism mech(config);
     for (int round = 0; round < 2000; ++round) {
       const MechanismResult result = mech.run_round(market(), ctx(3));
-      RoundObservation obs;
-      obs.total_payment = result.total_payment();
-      mech.observe(obs);
+      mech.settle(full_delivery(market(), result, 0));
     }
     return mech.average_budget_backlog();
   };

@@ -44,9 +44,8 @@ class RecordingMechanism final : public Mechanism {
       : ordering_(ordering) {}
 
   [[nodiscard]] std::string name() const override { return "recorder"; }
-  [[nodiscard]] MechanismResult run_round(
-      const std::vector<sfl::auction::Candidate>&,
-      const RoundContext&) override {
+  [[nodiscard]] MechanismResult run_round(const sfl::auction::CandidateBatch&,
+                                          const RoundContext&) override {
     return {};
   }
   void settle(const RoundSettlement& settlement) override {
@@ -299,9 +298,8 @@ TEST(AsyncSettlerTest, ThrowingSettleSurfacesAtFlushNotInPoolTask) {
   class ThrowOnceMechanism final : public sfl::auction::Mechanism {
    public:
     [[nodiscard]] std::string name() const override { return "throw-once"; }
-    [[nodiscard]] MechanismResult run_round(
-        const std::vector<sfl::auction::Candidate>&,
-        const RoundContext&) override {
+    [[nodiscard]] MechanismResult run_round(const sfl::auction::CandidateBatch&,
+                                            const RoundContext&) override {
       return {};
     }
     void settle(const RoundSettlement& settlement) override {

@@ -1,11 +1,12 @@
-// The unified settlement protocol: settle(RoundSettlement) must reproduce
-// the legacy observe(RoundObservation) queue dynamics bit-for-bit, carry
-// the per-winner detail observe() lost, and keep dropout accounting exact.
+// The settlement protocol: settle(RoundSettlement) carries the per-winner
+// detail the queues need, keeps dropout accounting exact, and applies each
+// auction round at most once however often it is retried.
 #include <gtest/gtest.h>
 
 #include "auction/adaptive_price.h"
 #include "auction/random_instance.h"
 #include "core/long_term_online_vcg.h"
+#include "full_delivery.h"
 #include "util/rng.h"
 
 namespace sfl::core {
@@ -14,7 +15,6 @@ namespace {
 using sfl::auction::Candidate;
 using sfl::auction::MechanismResult;
 using sfl::auction::RoundContext;
-using sfl::auction::RoundObservation;
 using sfl::auction::RoundSettlement;
 using sfl::auction::WinnerSettlement;
 
@@ -24,66 +24,6 @@ LtoVcgConfig paced_config() {
   config.per_round_budget = 2.5;
   config.energy_rates.assign(10, 0.3);
   return config;
-}
-
-RoundSettlement settlement_for(const std::vector<Candidate>& candidates,
-                               const MechanismResult& result,
-                               std::size_t round) {
-  RoundSettlement settlement;
-  settlement.round = round;
-  settlement.total_payment = result.total_payment();
-  for (std::size_t w = 0; w < result.winners.size(); ++w) {
-    settlement.winners.push_back(
-        WinnerSettlement{.client = result.winners[w],
-                         .bid = candidates[result.winners[w]].bid,
-                         .payment = result.payments[w],
-                         .energy_cost = candidates[result.winners[w]].energy_cost,
-                         .dropped = false});
-  }
-  return settlement;
-}
-
-TEST(SettlementTest, SettleMatchesLegacyObserveBitForBit) {
-  // Two identical LTO mechanisms, one driven through settle(), one through
-  // the deprecated observe() shim: queue backlogs (and hence all downstream
-  // selection) must stay exactly equal for hundreds of rounds.
-  for (const bool bid_proxy : {false, true}) {
-    LtoVcgConfig config = paced_config();
-    if (bid_proxy) config.queue_arrival = QueueArrivalMode::kBidProxy;
-    config.budget_schedule = {4.0, 1.5, 2.0};
-    LongTermOnlineVcgMechanism via_settle(config);
-    LongTermOnlineVcgMechanism via_observe(config);
-
-    sfl::util::Rng rng(314);
-    for (std::size_t round = 0; round < 400; ++round) {
-      sfl::auction::RandomInstanceSpec spec;
-      spec.num_candidates = 10;
-      const auto instance = make_random_instance(spec, rng);
-      RoundContext ctx;
-      ctx.round = round;
-      ctx.max_winners = 3;
-
-      const MechanismResult a = via_settle.run_round(instance.candidates, ctx);
-      const MechanismResult b = via_observe.run_round(instance.candidates, ctx);
-      ASSERT_EQ(a.winners, b.winners) << "round " << round;
-      ASSERT_EQ(a.payments, b.payments) << "round " << round;
-
-      via_settle.settle(settlement_for(instance.candidates, a, round));
-      RoundObservation obs;
-      obs.round = round;
-      obs.total_payment = b.total_payment();
-      obs.winners = b.winners;
-      via_observe.observe(obs);
-
-      ASSERT_EQ(via_settle.budget_backlog(), via_observe.budget_backlog())
-          << "round " << round << " bid_proxy " << bid_proxy;
-      for (std::size_t client = 0; client < 10; ++client) {
-        ASSERT_EQ(via_settle.sustainability_backlog(client),
-                  via_observe.sustainability_backlog(client))
-            << "round " << round << " client " << client;
-      }
-    }
-  }
 }
 
 TEST(SettlementTest, DroppedWinnersAreUnpaidButStillPaced) {
@@ -114,10 +54,9 @@ TEST(SettlementTest, DroppedWinnersAreUnpaidButStillPaced) {
 }
 
 TEST(SettlementTest, SettleIsIdempotentPerRound) {
-  // The double-report hazard: a caller that reports a round through BOTH
-  // settle() and the deprecated observe() shim (or retries a settlement)
-  // must not push the same round into the queues twice. The twin mechanism
-  // settles exactly once per round and the two must stay bit-identical.
+  // A caller that retries a settlement must not push the same round into
+  // the queues twice. The twin mechanism settles exactly once per round
+  // and the two must stay bit-identical.
   LtoVcgConfig config = paced_config();
   LongTermOnlineVcgMechanism once(config);
   LongTermOnlineVcgMechanism doubled(config);
@@ -136,16 +75,11 @@ TEST(SettlementTest, SettleIsIdempotentPerRound) {
     ASSERT_EQ(a.winners, b.winners);
 
     const RoundSettlement settlement =
-        settlement_for(instance.candidates, a, round);
+        full_delivery(instance.candidates, a, round);
     once.settle(settlement);
-    // The double report: settle(), then the legacy observe() for the same
-    // round, then a retried settle(). Only the first may apply.
+    // The settlement, then two retries of it. Only the first may apply.
     doubled.settle(settlement);
-    RoundObservation obs;
-    obs.round = round;
-    obs.total_payment = b.total_payment();
-    obs.winners = b.winners;
-    doubled.observe(obs);
+    doubled.settle(settlement);
     doubled.settle(settlement);
 
     ASSERT_EQ(once.budget_backlog(), doubled.budget_backlog())
@@ -178,8 +112,8 @@ TEST(SettlementTest, UnstampedSettleOncePerRoundStillApplies) {
     const MechanismResult b = unstamped.run_round(instance.candidates, ctx);
     ASSERT_EQ(a.winners, b.winners) << "round " << round;
 
-    stamped.settle(settlement_for(instance.candidates, a, round));
-    unstamped.settle(settlement_for(instance.candidates, b, 0));
+    stamped.settle(full_delivery(instance.candidates, a, round));
+    unstamped.settle(full_delivery(instance.candidates, b, 0));
 
     ASSERT_EQ(stamped.budget_backlog(), unstamped.budget_backlog())
         << "round " << round;
@@ -191,53 +125,13 @@ TEST(SettlementTest, UnstampedSettleOncePerRoundStillApplies) {
   }
 }
 
-TEST(SettlementTest, MixedStampDoubleReportStillAppliesOnce) {
-  // The nastiest double report: an UNSTAMPED settle() (round left 0)
-  // followed by the legacy observe() carrying the real round number. The
-  // round stamps disagree, so the stamp comparison alone cannot catch it;
-  // the shim must refuse the report because settle() already consumed the
-  // round's winner cache.
-  LtoVcgConfig config = paced_config();
-  LongTermOnlineVcgMechanism once(config);
-  LongTermOnlineVcgMechanism doubled(config);
-
-  sfl::util::Rng rng(515);
-  for (std::size_t round = 0; round < 40; ++round) {
-    sfl::auction::RandomInstanceSpec spec;
-    spec.num_candidates = 8;
-    const auto instance = make_random_instance(spec, rng);
-    RoundContext ctx;
-    ctx.round = round;
-    ctx.max_winners = 3;
-
-    const MechanismResult a = once.run_round(instance.candidates, ctx);
-    const MechanismResult b = doubled.run_round(instance.candidates, ctx);
-    ASSERT_EQ(a.winners, b.winners);
-
-    once.settle(settlement_for(instance.candidates, a, round));
-    doubled.settle(settlement_for(instance.candidates, b, 0));  // unstamped
-    RoundObservation obs;
-    obs.round = round;  // stamped duplicate of the same round
-    obs.total_payment = b.total_payment();
-    obs.winners = b.winners;
-    doubled.observe(obs);
-
-    ASSERT_EQ(once.budget_backlog(), doubled.budget_backlog())
-        << "round " << round;
-    for (std::size_t client = 0; client < 10; ++client) {
-      ASSERT_EQ(once.sustainability_backlog(client),
-                doubled.sustainability_backlog(client))
-          << "round " << round << " client " << client;
-    }
-  }
-}
-
-TEST(SettlementTest, AdaptivePriceDoubleReportStepsPriceOnce) {
-  // settle() forwards to observe() in the posted-price rule; reporting a
-  // round through both must move the price exactly once.
+TEST(SettlementTest, AdaptivePriceRetriedSettleStepsPriceOnce) {
+  // A retried settlement must move the posted price exactly once, whatever
+  // round stamps the reports carry; an empty-round report (the no-auction
+  // path, which never calls run_round) still steps the price.
   sfl::auction::AdaptivePriceConfig config;
   sfl::auction::AdaptivePostedPriceMechanism once(config);
-  sfl::auction::AdaptivePostedPriceMechanism doubled(config);
+  sfl::auction::AdaptivePostedPriceMechanism retried(config);
 
   std::vector<Candidate> candidates{
       Candidate{.id = 0, .value = 3.0, .bid = 0.6, .energy_cost = 1.0}};
@@ -248,19 +142,21 @@ TEST(SettlementTest, AdaptivePriceDoubleReportStepsPriceOnce) {
   for (std::size_t round = 0; round < 30; ++round) {
     ctx.round = round;
     const MechanismResult a = once.run_round(candidates, ctx);
-    (void)doubled.run_round(candidates, ctx);
+    (void)retried.run_round(candidates, ctx);
 
-    once.settle(settlement_for(candidates, a, round));
-    doubled.settle(settlement_for(candidates, a, 0));  // unstamped report
-    RoundObservation obs;
-    obs.round = round;  // mixed stamp: must still be caught as a duplicate
-    obs.total_payment = a.total_payment();
-    obs.winners = a.winners;
-    doubled.observe(obs);
+    once.settle(full_delivery(candidates, a, round));
+    retried.settle(full_delivery(candidates, a, 0));  // unstamped report
+    // Stamped retry: the stamps disagree, so it must be caught as a
+    // duplicate by the open-round flag, not by the stamp.
+    retried.settle(full_delivery(candidates, a, round));
 
-    ASSERT_EQ(once.current_price(), doubled.current_price())
+    ASSERT_EQ(once.current_price(), retried.current_price())
         << "round " << round;
   }
+
+  const double before = retried.current_price();
+  retried.settle(RoundSettlement{});  // empty round: no winners, no spend
+  EXPECT_GT(retried.current_price(), before);
 }
 
 TEST(SettlementTest, SettlementOutsideEnergyTableThrows) {
@@ -272,38 +168,6 @@ TEST(SettlementTest, SettlementOutsideEnergyTableThrows) {
                                          .dropped = false}};
   settlement.total_payment = 1.0;
   EXPECT_THROW(mech.settle(settlement), std::invalid_argument);
-}
-
-TEST(SettlementTest, DefaultSettleRoutesToObserveForLegacyMechanisms) {
-  // AdaptivePostedPriceMechanism only implements observe(); the base-class
-  // settle() must forward the folded observation, so price dynamics match a
-  // hand-driven observe() exactly.
-  sfl::auction::AdaptivePriceConfig config;
-  sfl::auction::AdaptivePostedPriceMechanism via_settle(config);
-  sfl::auction::AdaptivePostedPriceMechanism via_observe(config);
-
-  std::vector<Candidate> candidates{
-      Candidate{.id = 0, .value = 3.0, .bid = 0.6, .energy_cost = 1.0},
-      Candidate{.id = 1, .value = 2.0, .bid = 0.9, .energy_cost = 1.0}};
-  RoundContext ctx;
-  ctx.max_winners = 2;
-  ctx.per_round_budget = 1.0;
-
-  for (std::size_t round = 0; round < 50; ++round) {
-    ctx.round = round;
-    const MechanismResult a = via_settle.run_round(candidates, ctx);
-    const MechanismResult b = via_observe.run_round(candidates, ctx);
-    ASSERT_EQ(a.winners, b.winners);
-
-    via_settle.settle(settlement_for(candidates, a, round));
-    RoundObservation obs;
-    obs.round = round;
-    obs.total_payment = b.total_payment();
-    obs.winners = b.winners;
-    via_observe.observe(obs);
-    ASSERT_EQ(via_settle.current_price(), via_observe.current_price())
-        << "round " << round;
-  }
 }
 
 }  // namespace

@@ -208,6 +208,22 @@ TEST(FederatedTrainerTest, ParallelMatchesSequential) {
   EXPECT_EQ(sequential.parameters(), parallel.parameters());
 }
 
+TEST(FederatedTrainerTest, PooledTrainingErrorReachesTheCaller) {
+  // A participant whose local training throws must surface as the same
+  // catchable error on the pooled path as on the sequential one.
+  const auto fed = make_fed_data(4, 14);
+  LocalTrainingSpec spec = default_spec();
+  spec.local_steps = 0;  // rejected by every local training run
+  sfl::util::ThreadPool pool(2);
+  FederatedTrainer sequential(fed, std::make_unique<LogisticRegression>(6, 4, 0.0),
+                              spec, 5);
+  FederatedTrainer parallel(fed, std::make_unique<LogisticRegression>(6, 4, 0.0),
+                            spec, 5, &pool);
+  const std::vector<std::size_t> participants{0, 1, 2, 3};
+  EXPECT_THROW((void)sequential.run_round(participants), std::invalid_argument);
+  EXPECT_THROW((void)parallel.run_round(participants), std::invalid_argument);
+}
+
 TEST(FederatedTrainerTest, DetailedRoundExposesAlignedUpdates) {
   const auto fed = make_fed_data(5, 15);
   FederatedTrainer trainer(fed, std::make_unique<LogisticRegression>(6, 4, 0.0),

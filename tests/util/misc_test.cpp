@@ -88,11 +88,24 @@ TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
 }
 
 TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
+  // parallel_for_chunks runs every chunk exactly once over its stable
+  // chunk_range, so every index is visited exactly once — with uneven
+  // chunks, and with one chunk per index (the local-training layout).
   ThreadPool pool(2);
-  std::vector<std::atomic<int>> hits(64);
-  pool.parallel_for(64, [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
+  for (const std::size_t chunks : {std::size_t{7}, std::size_t{64}}) {
+    std::vector<std::atomic<int>> chunk_hits(chunks);
+    std::vector<std::atomic<int>> index_hits(64);
+    pool.parallel_for_chunks(
+        64, chunks,
+        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+          const auto expected = ThreadPool::chunk_range(64, chunks, chunk);
+          EXPECT_EQ(begin, expected.first);
+          EXPECT_EQ(end, expected.second);
+          chunk_hits[chunk].fetch_add(1);
+          for (std::size_t i = begin; i < end; ++i) index_hits[i].fetch_add(1);
+        });
+    for (const auto& h : chunk_hits) EXPECT_EQ(h.load(), 1) << chunks;
+    for (const auto& h : index_hits) EXPECT_EQ(h.load(), 1) << chunks;
   }
 }
 

@@ -90,7 +90,7 @@ TEST(ThreadPoolStressTest, SettlementPipelineUnderConcurrentPoolLoad) {
    public:
     [[nodiscard]] std::string name() const override { return "counting"; }
     [[nodiscard]] sfl::auction::MechanismResult run_round(
-        const std::vector<sfl::auction::Candidate>&,
+        const sfl::auction::CandidateBatch&,
         const sfl::auction::RoundContext&) override {
       return {};
     }
