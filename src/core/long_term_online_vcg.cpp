@@ -1,5 +1,10 @@
 #include "core/long_term_online_vcg.h"
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
+#include <stdexcept>
+
 #include "auction/payments.h"
 #include "auction/sharded_wdp.h"
 #include "auction/winner_determination.h"
@@ -60,13 +65,16 @@ double LongTermOnlineVcgMechanism::sustainability_backlog(
 void LongTermOnlineVcgMechanism::penalties_into(
     std::span<const sfl::auction::ClientId> ids,
     std::span<const double> energy_costs, Penalties& out) {
-  out.clear();
-  if (!sustainability_queues_.has_value()) return;
-  out.reserve(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    require(ids[i] < sustainability_queues_->size(),
-            "candidate id outside the configured energy-rate table");
-    out.push_back(sustainability_queues_->backlog(ids[i]) * energy_costs[i]);
+  if (!sustainability_queues_.has_value()) {
+    out.clear();
+    return;
+  }
+  out.resize(ids.size());
+  if (sustainability_queues_->scaled_backlogs(ids, energy_costs, out) !=
+      ids.size()) {
+    out.clear();
+    throw std::invalid_argument(
+        "candidate id outside the configured energy-rate table");
   }
 }
 
@@ -165,22 +173,27 @@ void LongTermOnlineVcgMechanism::settle(const RoundSettlement& settlement) {
   // untouched.
   if (!round_open_ && settlement.round == last_settled_round_) return;
 
-  // Validate BEFORE mutating any queue: settle() is exception-atomic, so a
-  // rejected settlement can be corrected and retried without Q having
-  // already absorbed the payment arrival.
-  if (sustainability_queues_.has_value()) {
-    for (const WinnerSettlement& w : settlement.winners) {
-      require(w.client < sustainability_queues_->size(),
-              "settled winner outside the configured energy-rate table");
-    }
-  }
-
   // Q arrival: realized payments are what the long-term constraint is
   // written on; the bid proxy is the drift objective's internal surrogate.
   const double arrival =
       config_.queue_arrival == QueueArrivalMode::kRealizedPayment
           ? settlement.total_payment
           : settlement.total_bid();
+
+  // Validate BEFORE mutating any queue: settle() is exception-atomic, so a
+  // rejected settlement can be corrected and retried without Q (or an
+  // earlier winner's Z) having already absorbed its arrival.
+  require(std::isfinite(arrival) && arrival >= 0.0,
+          "budget-queue arrival must be finite and >= 0");
+  if (sustainability_queues_.has_value()) {
+    for (const WinnerSettlement& w : settlement.winners) {
+      require(w.client < sustainability_queues_->size(),
+              "settled winner outside the configured energy-rate table");
+      require(std::isfinite(w.energy_cost) && w.energy_cost >= 0.0,
+              "settled winner energy cost must be finite and >= 0");
+    }
+  }
+
   if (config_.budget_schedule.empty()) {
     budget_queue_.update(arrival);
   } else {
@@ -191,15 +204,32 @@ void LongTermOnlineVcgMechanism::settle(const RoundSettlement& settlement) {
   if (sustainability_queues_.has_value()) {
     // Every auction winner's Z queue is charged, dropped or not: the pacing
     // constraint bounds how often a client is *selected*, which is also the
-    // only quantity the mechanism controls.
-    settle_arrivals_.assign(sustainability_queues_->size(), 0.0);
-    for (const WinnerSettlement& w : settlement.winners) {
-      settle_arrivals_[w.client] += w.energy_cost;
+    // only quantity the mechanism controls. A client listed more than once
+    // gets one arrival, summed in winner order (0.0 + e1 + e2); every other
+    // queue drains lazily when the bank advances.
+    const std::vector<WinnerSettlement>& winners = settlement.winners;
+    settle_order_.resize(winners.size());
+    std::iota(settle_order_.begin(), settle_order_.end(), std::size_t{0});
+    std::sort(settle_order_.begin(), settle_order_.end(),
+              [&winners](std::size_t a, std::size_t b) {
+                return winners[a].client != winners[b].client
+                           ? winners[a].client < winners[b].client
+                           : a < b;
+              });
+    for (std::size_t k = 0; k < settle_order_.size();) {
+      const sfl::auction::ClientId client = winners[settle_order_[k]].client;
+      double energy = 0.0;
+      for (; k < settle_order_.size() &&
+             winners[settle_order_[k]].client == client;
+           ++k) {
+        energy += winners[settle_order_[k]].energy_cost;
+      }
+      sustainability_queues_->arrive(client, energy);
     }
-    sustainability_queues_->update_all(settle_arrivals_);
+    sustainability_queues_->advance();
   }
-  // Stamped only after a fully-applied settlement, so a throwing settle
-  // (bad winner id) is not remembered as settled.
+  // Stamped only after a fully-applied settlement, so a rejected
+  // settlement is not remembered as settled.
   last_settled_round_ = settlement.round;
   round_open_ = false;
 }

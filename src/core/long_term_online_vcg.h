@@ -16,7 +16,10 @@
 //   4. on settle(), pushes the realized round payment into Q and the
 //      winners' energy costs into Z. Queue arrivals count every auction
 //      winner (dropped or not): selection is what the drift bound and the
-//      pacing constraint are written on.
+//      pacing constraint are written on. Settling costs O(winners), not
+//      O(clients): only the winners' Z queues take an arrival, and the
+//      lazily-drained QueueBank applies every other queue's r_i drain on
+//      its next read — bit-identical to sweeping all of them each round.
 //
 // Steps 1-3 run on a WdpEngine against a (mechanism-owned or shared)
 // RoundScratch: the in-process ShardedWdp scores `shards` contiguous spans
@@ -125,6 +128,11 @@ class LongTermOnlineVcgMechanism final : public sfl::auction::Mechanism {
   /// Idempotent per round: with no new auction round opened since the
   /// last applied settlement, a retried report with the same round stamp
   /// is dropped, so a retry cannot double-apply the queue updates.
+  ///
+  /// Exception-atomic: a settlement with an out-of-table winner, a
+  /// non-finite or negative winner energy cost, or a non-finite or
+  /// negative Q arrival throws std::invalid_argument before any queue
+  /// moves, so the corrected report applies exactly once.
   void settle(const sfl::auction::RoundSettlement& settlement) override;
 
   /// Queue updates depend on application order (max(0, .) clamps), so the
@@ -189,8 +197,9 @@ class LongTermOnlineVcgMechanism final : public sfl::auction::Mechanism {
                              sfl::auction::MechanismResult& out);
 
  private:
-  /// Writes Z_i(t)*e_i penalties for the slate into `out` (cleared first;
-  /// left empty when the sustainability queues are off).
+  /// Writes Z_i(t)*e_i penalties for the slate into `out` (resized to the
+  /// slate; left empty when the sustainability queues are off, and when an
+  /// id outside the energy-rate table makes it throw).
   void penalties_into(std::span<const sfl::auction::ClientId> ids,
                       std::span<const double> energy_costs,
                       sfl::auction::Penalties& out);
@@ -221,8 +230,9 @@ class LongTermOnlineVcgMechanism final : public sfl::auction::Mechanism {
   /// Leave-one-out buffers for the kVcgExternality payment rule (unused —
   /// and empty — under the critical-value rule).
   sfl::auction::OracleScratch oracle_scratch_;
-  /// Reused Z-queue arrival accumulator (settle() stays allocation-free).
-  std::vector<double> settle_arrivals_;
+  /// Reused winner order (by client, then listing) that settle() sums
+  /// duplicate winners' arrivals over; keeps settle() allocation-free.
+  std::vector<std::size_t> settle_order_;
 
   /// Per-round idempotency guard behind settle(): run_round opens a round;
   /// the first settlement applied closes it. A settlement arriving with

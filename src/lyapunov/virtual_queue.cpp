@@ -40,36 +40,80 @@ void VirtualQueue::reset(double initial_backlog) {
   updates_ = 0;
 }
 
-QueueBank::QueueBank(const std::vector<double>& service_rates) {
+namespace {
+
+/// `steps` arrival-free rounds of the Lindley recursion on backlog `z`:
+/// exactly the eager update's max(z + 0.0 - rate, 0.0), stopping early once
+/// z is 0 (absorbing) and skipped when rate == 0 (each step returns z).
+double drain(double z, double rate, std::uint64_t steps) noexcept {
+  if (rate == 0.0) return z;
+  for (; steps > 0 && z != 0.0; --steps) z = std::max(z + 0.0 - rate, 0.0);
+  return z;
+}
+
+}  // namespace
+
+QueueBank::QueueBank(const std::vector<double>& service_rates)
+    : rates_(service_rates),
+      backlog_(service_rates.size(), 0.0),
+      current_to_(service_rates.size(), 0) {
   require(!service_rates.empty(), "queue bank needs at least one queue");
-  queues_.reserve(service_rates.size());
   for (const double rate : service_rates) {
-    queues_.emplace_back(rate);
+    require(rate >= 0.0, "service rate must be >= 0");
   }
 }
 
-const VirtualQueue& QueueBank::queue(std::size_t index) const {
-  return queues_[checked_index(index, queues_.size(), "queue bank")];
+void QueueBank::arrive(std::size_t index, double arrival) {
+  checked_index(index, size(), "queue bank");
+  require(arrival >= 0.0, "queue arrivals must be >= 0");
+  require(current_to_[index] <= round_,
+          "a queue takes at most one arrival per round");
+  const double z = catch_up(index);
+  backlog_[index] = std::max(z + arrival - rates_[index], 0.0);
+  current_to_[index] = round_ + 1;
 }
 
-void QueueBank::update_all(const std::vector<double>& arrivals) {
-  require(arrivals.size() == queues_.size(), "one arrival per queue required");
-  for (std::size_t i = 0; i < queues_.size(); ++i) {
-    queues_[i].update(arrivals[i]);
+double QueueBank::backlog(std::size_t index) const {
+  return current(checked_index(index, size(), "queue bank"));
+}
+
+double QueueBank::current(std::size_t index) const noexcept {
+  const double z = backlog_[index];
+  if (z == 0.0 || current_to_[index] >= round_) return z;
+  return drain(z, rates_[index], round_ - current_to_[index]);
+}
+
+double QueueBank::catch_up(std::size_t index) noexcept {
+  if (current_to_[index] < round_) {
+    backlog_[index] = current(index);
+    current_to_[index] = round_;
   }
+  return backlog_[index];
 }
 
-double QueueBank::backlog(std::size_t index) const { return queue(index).backlog(); }
+std::size_t QueueBank::scaled_backlogs(std::span<const std::size_t> ids,
+                                       std::span<const double> scale,
+                                       std::span<double> out) {
+  const std::size_t n = size();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const std::size_t id = ids[i];
+    if (id >= n) return i;
+    // Zero backlogs (most of a large pool) take no stamp check and no write.
+    const double z = backlog_[id];
+    out[i] = (z == 0.0 ? z : catch_up(id)) * scale[i];
+  }
+  return ids.size();
+}
 
 double QueueBank::max_backlog() const noexcept {
   double best = 0.0;
-  for (const auto& q : queues_) best = std::max(best, q.backlog());
+  for (std::size_t i = 0; i < size(); ++i) best = std::max(best, current(i));
   return best;
 }
 
 double QueueBank::total_backlog() const noexcept {
   double sum = 0.0;
-  for (const auto& q : queues_) sum += q.backlog();
+  for (std::size_t i = 0; i < size(); ++i) sum += current(i);
   return sum;
 }
 

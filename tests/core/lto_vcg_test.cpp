@@ -185,6 +185,13 @@ TEST(LtoVcgTest, CandidateIdOutsideEnergyTableThrows) {
   config.energy_rates = {0.5};  // only client 0 known
   LongTermOnlineVcgMechanism mech(config);
   EXPECT_THROW((void)mech.run_round(market(), ctx(2)), std::invalid_argument);
+  // The external-round export throws the same error and leaves no partial
+  // penalty vector behind: it stays a pure observation.
+  sfl::auction::Penalties penalties{7.0};
+  EXPECT_THROW((void)mech.external_round_inputs(
+                   sfl::auction::CandidateBatch::from_aos(market()), penalties),
+               std::invalid_argument);
+  EXPECT_TRUE(penalties.empty());
 }
 
 TEST(LtoVcgTest, BidProxyQueueModeStillStabilizesBudget) {

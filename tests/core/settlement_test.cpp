@@ -3,6 +3,12 @@
 // auction round at most once however often it is retried.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "auction/adaptive_price.h"
 #include "auction/random_instance.h"
 #include "core/long_term_online_vcg.h"
@@ -168,6 +174,166 @@ TEST(SettlementTest, SettlementOutsideEnergyTableThrows) {
                                          .dropped = false}};
   settlement.total_payment = 1.0;
   EXPECT_THROW(mech.settle(settlement), std::invalid_argument);
+}
+
+/// Q and every Z of `mech` as bit patterns: an exact queue-state snapshot.
+std::vector<std::uint64_t> queue_state(const LongTermOnlineVcgMechanism& mech,
+                                       std::size_t clients) {
+  std::vector<std::uint64_t> state{
+      std::bit_cast<std::uint64_t>(mech.budget_backlog())};
+  for (std::size_t client = 0; client < clients; ++client) {
+    state.push_back(
+        std::bit_cast<std::uint64_t>(mech.sustainability_backlog(client)));
+  }
+  return state;
+}
+
+TEST(SettlementTest, RejectedSettlementMovesNoQueue) {
+  // settle() validates every field before touching a queue: a report whose
+  // SECOND winner (or whose Q arrival) is malformed throws with Q and every
+  // Z bit-unchanged, and the corrected retry then applies exactly once — as
+  // on a twin that only ever saw the corrected report.
+  struct BadField {
+    const char* name;
+    QueueArrivalMode mode;
+    void (*corrupt)(RoundSettlement&);
+  };
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<BadField> cases{
+      {"negative energy cost", QueueArrivalMode::kRealizedPayment,
+       [](RoundSettlement& s) { s.winners[1].energy_cost = -1.0; }},
+      {"NaN energy cost", QueueArrivalMode::kRealizedPayment,
+       [](RoundSettlement& s) { s.winners[1].energy_cost = kNaN; }},
+      {"infinite energy cost", QueueArrivalMode::kRealizedPayment,
+       [](RoundSettlement& s) { s.winners[1].energy_cost = kInf; }},
+      {"winner outside the energy table", QueueArrivalMode::kRealizedPayment,
+       [](RoundSettlement& s) { s.winners[1].client = 10; }},
+      {"negative payment", QueueArrivalMode::kRealizedPayment,
+       [](RoundSettlement& s) { s.total_payment = -1.0; }},
+      {"NaN payment", QueueArrivalMode::kRealizedPayment,
+       [](RoundSettlement& s) { s.total_payment = kNaN; }},
+      {"infinite payment", QueueArrivalMode::kRealizedPayment,
+       [](RoundSettlement& s) { s.total_payment = kInf; }},
+      {"NaN bid under the bid proxy", QueueArrivalMode::kBidProxy,
+       [](RoundSettlement& s) { s.winners[1].bid = kNaN; }},
+  };
+  for (const BadField& bad_field : cases) {
+    SCOPED_TRACE(bad_field.name);
+    LtoVcgConfig config = paced_config();
+    config.queue_arrival = bad_field.mode;
+    LongTermOnlineVcgMechanism mech(config);
+    LongTermOnlineVcgMechanism twin(config);
+
+    // Warm both up so Q and several Z queues hold non-zero backlogs.
+    sfl::util::Rng rng(31);
+    for (std::size_t round = 0; round < 20; ++round) {
+      sfl::auction::RandomInstanceSpec spec;
+      const auto instance = make_random_instance(spec, rng);
+      RoundContext ctx;
+      ctx.round = round;
+      ctx.max_winners = 3;
+      const MechanismResult a = mech.run_round(instance.candidates, ctx);
+      (void)twin.run_round(instance.candidates, ctx);
+      mech.settle(full_delivery(instance.candidates, a, round));
+      twin.settle(full_delivery(instance.candidates, a, round));
+    }
+    RoundContext ctx;
+    ctx.round = 20;
+    ctx.max_winners = 3;
+    const std::vector<Candidate> slate{
+        Candidate{.id = 2, .value = 3.0, .bid = 1.0, .energy_cost = 1.0},
+        Candidate{.id = 5, .value = 3.0, .bid = 0.8, .energy_cost = 0.5}};
+    (void)mech.run_round(slate, ctx);
+    (void)twin.run_round(slate, ctx);
+
+    RoundSettlement good;
+    good.round = 20;
+    good.winners = {
+        WinnerSettlement{.client = 2, .bid = 1.0, .payment = 1.5,
+                         .energy_cost = 1.0, .dropped = false},
+        WinnerSettlement{.client = 5, .bid = 0.8, .payment = 1.2,
+                         .energy_cost = 0.5, .dropped = false}};
+    good.total_payment = 2.7;
+    RoundSettlement bad = good;
+    bad_field.corrupt(bad);
+
+    const std::vector<std::uint64_t> before = queue_state(mech, 10);
+    ASSERT_EQ(before, queue_state(twin, 10));
+    EXPECT_THROW(mech.settle(bad), std::invalid_argument);
+    EXPECT_EQ(queue_state(mech, 10), before);
+
+    mech.settle(good);
+    twin.settle(good);
+    EXPECT_NE(queue_state(twin, 10), before);
+    EXPECT_EQ(queue_state(mech, 10), queue_state(twin, 10));
+    mech.settle(good);  // a retry of the applied report is dropped
+    EXPECT_EQ(queue_state(mech, 10), queue_state(twin, 10));
+  }
+}
+
+TEST(SettlementTest, SparseSlatesCatchUpLikeFullSlates) {
+  // Clients missing from a round's slate are not read that round; their Z
+  // queues catch up on the next read, possibly dozens of rounds later. The
+  // twin clears full slates whose extra rows can never win (value 0, so a
+  // negative score), which reads every queue every round. The two must
+  // agree bit for bit on the outcome and on every queue after every round.
+  constexpr std::size_t kClients = 200;
+  LtoVcgConfig config;
+  config.v_weight = 6.0;
+  config.per_round_budget = 2.5;
+  config.energy_rates.resize(kClients);
+  sfl::util::Rng rng(4242);
+  for (double& rate : config.energy_rates) {
+    rate = rng.bernoulli(0.1) ? 0.0 : rng.uniform(0.01, 0.2);
+  }
+  LongTermOnlineVcgMechanism sparse(config);
+  LongTermOnlineVcgMechanism full(config);
+
+  std::size_t sparse_rounds_left = 0;
+  for (std::size_t round = 0; round < 400; ++round) {
+    sfl::auction::RandomInstanceSpec spec;
+    spec.num_candidates = kClients;
+    auto instance = make_random_instance(spec, rng);
+    for (Candidate& c : instance.candidates) {
+      c.energy_cost = rng.uniform(0.2, 2.0);
+    }
+    // One full slate, then a run of 1-40 slates of ~10% of the pool.
+    const bool full_round = sparse_rounds_left == 0;
+    sparse_rounds_left =
+        full_round ? 1 + rng.uniform_index(40) : sparse_rounds_left - 1;
+    std::vector<Candidate> slate;
+    std::vector<Candidate> padded;
+    for (const Candidate& c : instance.candidates) {
+      if (full_round || rng.bernoulli(0.1)) {
+        slate.push_back(c);
+        padded.push_back(c);
+      } else {
+        Candidate never_wins = c;
+        never_wins.value = 0.0;
+        padded.push_back(never_wins);
+      }
+    }
+
+    RoundContext ctx;
+    ctx.round = round;
+    ctx.max_winners = 5;
+    const MechanismResult a = sparse.run_round(slate, ctx);
+    const MechanismResult b = full.run_round(padded, ctx);
+    ASSERT_EQ(a.winners, b.winners) << "round " << round;
+    ASSERT_EQ(a.payments, b.payments) << "round " << round;
+    // Winners are client ids, which index the pool.
+    sparse.settle(full_delivery(instance.candidates, a, round));
+    full.settle(full_delivery(instance.candidates, b, round));
+    ASSERT_EQ(queue_state(sparse, kClients), queue_state(full, kClients))
+        << "round " << round;
+  }
+  // The schedule really paced someone: some queue is still backlogged.
+  double max_backlog = 0.0;
+  for (std::size_t client = 0; client < kClients; ++client) {
+    max_backlog = std::max(max_backlog, sparse.sustainability_backlog(client));
+  }
+  EXPECT_GT(max_backlog, 0.0);
 }
 
 }  // namespace
