@@ -20,7 +20,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -35,8 +34,6 @@
 #include "auction/valuation.h"
 #include "auction/winner_determination.h"
 #include "bench_common.h"
-#include "core/async_settler.h"
-#include "core/long_term_online_vcg.h"
 #include "dist/distributed_wdp.h"
 #include "dist/loopback_transport.h"
 #include "util/config.h"
@@ -297,87 +294,6 @@ BENCHMARK(BM_UnhedgedStraggler)
     ->Arg(4'096)
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
-
-/// Fixed CPU-bound stand-in for the FL work a production round does
-/// between reporting a settlement and needing the next auction — the
-/// window async settlement overlaps with the mechanism's queue updates.
-double training_payload() {
-  double acc = 0.0;
-  for (std::size_t i = 1; i <= 50'000; ++i) {
-    acc += 1.0 / std::sqrt(static_cast<double>(i));
-  }
-  return acc;
-}
-
-/// One settled mechanism round + the training payload, sync vs async:
-/// arg0 = N; `async` selects whether settle() applies inline (sync) or
-/// enqueues onto the shared pool and is flushed by the next round's
-/// barrier (the streamed settlement pipeline). With pacing enabled the
-/// settle is O(N) queue updates, so the async variant's round latency
-/// drops by whatever fits inside the payload window.
-void bench_round_pipeline_settle(benchmark::State& state, bool async) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const RandomInstance instance = make_instance(n);
-  const CandidateBatch batch = CandidateBatch::from_aos(instance.candidates);
-
-  sfl::core::LtoVcgConfig config;
-  config.v_weight = 10.0;
-  config.per_round_budget = 5.0;
-  config.energy_rates.assign(n, 0.4);  // Z queues on: settle is O(N)
-  std::unique_ptr<Mechanism> mechanism =
-      std::make_unique<sfl::core::LongTermOnlineVcgMechanism>(config);
-  if (async) {
-    mechanism = std::make_unique<sfl::core::AsyncSettlementMechanism>(
-        std::move(mechanism));
-  }
-
-  RoundContext context;
-  context.max_winners = 10;
-  context.per_round_budget = 5.0;
-
-  MechanismResult outcome;
-  RoundSettlement settlement;
-  std::size_t round = 0;
-  for (auto _ : state) {
-    context.round = round;
-    mechanism->run_round_into(batch, context, outcome);
-    settlement.round = round;
-    settlement.total_payment = 0.0;
-    settlement.winners.clear();
-    for (std::size_t w = 0; w < outcome.winners.size(); ++w) {
-      // Generator ids are 0..n-1 in slate order, so id == batch row.
-      const std::size_t index = outcome.winners[w];
-      settlement.winners.push_back(
-          WinnerSettlement{.client = outcome.winners[w],
-                           .bid = batch.bids()[index],
-                           .payment = outcome.payments[w],
-                           .energy_cost = batch.energy_costs()[index],
-                           .dropped = false});
-      settlement.total_payment += outcome.payments[w];
-    }
-    mechanism->settle(settlement);
-    benchmark::DoNotOptimize(training_payload());
-    ++round;
-  }
-  mechanism->flush();
-  state.SetComplexityN(static_cast<std::int64_t>(n));
-}
-
-void BM_RoundPipelineSyncSettle(benchmark::State& state) {
-  bench_round_pipeline_settle(state, /*async=*/false);
-}
-BENCHMARK(BM_RoundPipelineSyncSettle)
-    ->RangeMultiplier(10)
-    ->Range(10'000, scal_max_n())
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_RoundPipelineAsyncSettle(benchmark::State& state) {
-  bench_round_pipeline_settle(state, /*async=*/true);
-}
-BENCHMARK(BM_RoundPipelineAsyncSettle)
-    ->RangeMultiplier(10)
-    ->Range(10'000, scal_max_n())
-    ->Unit(benchmark::kMicrosecond);
 
 void BM_TopMWithVcgExternalityPayments(benchmark::State& state) {
   // VCG externality payments re-solve the WDP per winner: O(m) x WDP.

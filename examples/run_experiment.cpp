@@ -7,7 +7,7 @@
 //                  [partition=dirichlet|iid|quantity] [alpha=0.3]
 //                  [noisy_fraction=0.3] [flip_prob=0.8]
 //                  [budget=6] [winners=8] [v=10] [pacing=0.5] [shards=0]
-//                  [async_settle=0] [dist_workers=0] [hedge=1]
+//                  [dist_workers=0] [hedge=1]
 //                  [oracle_threads=0] [greedy_scale=20]
 //                  [model=logreg|mlp] [hidden=32] [lr=0.05] [local_steps=5]
 //                  [proximal_mu=0]
@@ -16,7 +16,9 @@
 //
 // Every key must be one the chosen scenario reads: a misspelled key, or one
 // that only applies to another scenario, model or partition, is named on
-// stderr and the run exits 2 before any round runs.
+// stderr and the run exits 2 before any round runs. An invalid setting (an
+// unknown mechanism key, an out-of-range value) also exits 2, with the
+// error on stderr.
 //
 // Scenarios (PR-10 extensions; see README "Scenario extensions"):
 //   scenario=static    the default FL training run.
@@ -45,11 +47,6 @@
 // hardware thread, 1 = serial, k = exactly k shards) and produces the same
 // winners and payments as lto-vcg at any setting.
 //
-// async_settle=1 (or mechanism=lto-vcg-async) streams settlements through
-// the async pipeline: mechanism queue updates run on the shared pool while
-// the round does local training, behind a flush barrier that keeps
-// fixed-seed trajectories bit-identical to synchronous settlement.
-//
 // mechanism=lto-vcg-dist runs winner determination on the distributed WDP
 // coordinator: `dist_workers` in-process loopback shard workers receive
 // batch spans and return top-(m+1) survivor sets through the wire codec
@@ -65,6 +62,7 @@
 // oracles on the shared thread pool: `oracle_threads` picks the lane
 // count (0 = auto, 1 = serial, k = exactly k lanes) and every setting
 // produces bit-identical allocations and payments to the serial keys.
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -98,7 +96,6 @@ sfl::auction::MechanismConfig mechanism_config_from(const Config& args,
   config.lto.shards = args.get_size("shards", 0);
   config.lto.dist_workers = args.get_size("dist_workers", 0);
   config.lto.hedge = args.get_bool("hedge", true);
-  config.lto.async_settle = args.get_bool("async_settle", false);
   // One knob feeds both parallel-oracle surfaces: the "-par" comparison
   // oracle keys (0 = auto) and the lto externality-payment ablation
   // (default 1 = serial). Bit-identical results at every count.
@@ -133,7 +130,6 @@ int run_online_scenario(const Config& args) {
   mspec.per_round_budget = args.get_double("budget", 6.0);
   mspec.valuation_scale = args.get_double("valuation_scale", 2.0);
   mspec.cost.base_sigma = args.get_double("cost_sigma", 0.5);
-  mspec.async_settle = args.get_bool("async_settle", false);
   mspec.seed = args.get_size("seed", 42);
   mspec.online.enabled = true;
   mspec.online.arrival_window = args.get_double("arrival_window", 0.5);
@@ -244,9 +240,8 @@ int run_multi_scenario(const Config& args) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// The whole run; main() turns any exception it throws into exit code 2.
+int run_experiment(int argc, char** argv) {
   const Config args = Config::from_args(argc, argv);
 
   if (args.get_string("mechanism", "lto-vcg") == "list") {
@@ -314,10 +309,6 @@ int main(int argc, char** argv) {
   config.use_reputation = args.get_bool("use_reputation", true);
   config.eval_every = args.get_size("eval_every", 10);
   config.cost.base_sigma = args.get_double("cost_sigma", 0.5);
-  // Streams ANY mechanism: lto-vcg* keys are wrapped by the registry (via
-  // lto.async_settle below) and the orchestrator skips already-async
-  // mechanisms, so this never double-wraps.
-  config.async_settle = args.get_bool("async_settle", false);
   config.seed = sspec.seed;
   if (args.get_bool("energy", false)) {
     config.enable_energy = true;
@@ -386,4 +377,15 @@ int main(int argc, char** argv) {
               << csv_path << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_experiment(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "run_experiment: " << error.what() << "\n";
+    return 2;
+  }
 }

@@ -51,11 +51,6 @@ class MyopicVcgMechanism final : public Mechanism {
   [[nodiscard]] MechanismResult run_round(const CandidateBatch& batch,
                                           const RoundContext& context) override;
   [[nodiscard]] bool is_truthful() const noexcept override { return true; }
-  /// Stateless rule: settle() is a no-op, so settlements commute and an
-  /// async executor may merge them.
-  [[nodiscard]] SettlementOrdering settlement_ordering() const noexcept override {
-    return SettlementOrdering::kCommutative;
-  }
 };
 
 /// Top-m by (value - bid), pay-as-bid. Strategically manipulable.
@@ -68,11 +63,6 @@ class PayAsBidGreedyMechanism final : public Mechanism {
   [[nodiscard]] MechanismResult run_round(const CandidateBatch& batch,
                                           const RoundContext& context) override;
   [[nodiscard]] bool is_truthful() const noexcept override { return false; }
-  /// Stateless rule: settle() is a no-op, so settlements commute and an
-  /// async executor may merge them.
-  [[nodiscard]] SettlementOrdering settlement_ordering() const noexcept override {
-    return SettlementOrdering::kCommutative;
-  }
 };
 
 /// Posted price: clients with bid <= price win (highest value first, capped
@@ -86,11 +76,6 @@ class FixedPriceMechanism final : public Mechanism {
   [[nodiscard]] MechanismResult run_round(const CandidateBatch& batch,
                                           const RoundContext& context) override;
   [[nodiscard]] bool is_truthful() const noexcept override { return true; }
-  /// Stateless rule: settle() is a no-op, so settlements commute and an
-  /// async executor may merge them.
-  [[nodiscard]] SettlementOrdering settlement_ordering() const noexcept override {
-    return SettlementOrdering::kCommutative;
-  }
 
   [[nodiscard]] double price() const noexcept { return price_; }
 
@@ -109,11 +94,6 @@ class RandomSelectionMechanism final : public Mechanism {
   [[nodiscard]] MechanismResult run_round(const CandidateBatch& batch,
                                           const RoundContext& context) override;
   [[nodiscard]] bool is_truthful() const noexcept override { return true; }
-  /// Stateless rule: settle() is a no-op, so settlements commute and an
-  /// async executor may merge them.
-  [[nodiscard]] SettlementOrdering settlement_ordering() const noexcept override {
-    return SettlementOrdering::kCommutative;
-  }
 
  private:
   double stipend_;
@@ -131,11 +111,6 @@ class FirstBestOracleMechanism final : public Mechanism {
   [[nodiscard]] MechanismResult run_round(const CandidateBatch& batch,
                                           const RoundContext& context) override;
   [[nodiscard]] bool is_truthful() const noexcept override { return false; }
-  /// Stateless rule: settle() is a no-op, so settlements commute and an
-  /// async executor may merge them.
-  [[nodiscard]] SettlementOrdering settlement_ordering() const noexcept override {
-    return SettlementOrdering::kCommutative;
-  }
 };
 
 /// Clairvoyant *budget-feasible* benchmark: sees true costs (as bids),
@@ -156,11 +131,6 @@ class BudgetedOracleMechanism final : public Mechanism {
   [[nodiscard]] MechanismResult run_round(const CandidateBatch& batch,
                                           const RoundContext& context) override;
   [[nodiscard]] bool is_truthful() const noexcept override { return false; }
-  /// Stateless rule: settle() is a no-op, so settlements commute and an
-  /// async executor may merge them.
-  [[nodiscard]] SettlementOrdering settlement_ordering() const noexcept override {
-    return SettlementOrdering::kCommutative;
-  }
 
  private:
   double resolution_;
@@ -186,11 +156,6 @@ class GreedyConcaveMechanism final : public Mechanism {
   [[nodiscard]] MechanismResult run_round(const CandidateBatch& batch,
                                           const RoundContext& context) override;
   [[nodiscard]] bool is_truthful() const noexcept override { return false; }
-  /// Stateless rule: settle() is a no-op, so settlements commute and an
-  /// async executor may merge them.
-  [[nodiscard]] SettlementOrdering settlement_ordering() const noexcept override {
-    return SettlementOrdering::kCommutative;
-  }
 
  private:
   ConcaveValuation valuation_;
@@ -217,11 +182,6 @@ class MyopicVcgExtMechanism final : public Mechanism {
   [[nodiscard]] MechanismResult run_round(const CandidateBatch& batch,
                                           const RoundContext& context) override;
   [[nodiscard]] bool is_truthful() const noexcept override { return true; }
-  /// Stateless rule: settle() is a no-op, so settlements commute and an
-  /// async executor may merge them.
-  [[nodiscard]] SettlementOrdering settlement_ordering() const noexcept override {
-    return SettlementOrdering::kCommutative;
-  }
 
  private:
   std::size_t threads_;
@@ -245,11 +205,6 @@ class ProportionalShareMechanism final : public Mechanism {
   [[nodiscard]] MechanismResult run_round(const CandidateBatch& batch,
                                           const RoundContext& context) override;
   [[nodiscard]] bool is_truthful() const noexcept override { return true; }
-  /// Stateless rule: settle() is a no-op, so settlements commute and an
-  /// async executor may merge them.
-  [[nodiscard]] SettlementOrdering settlement_ordering() const noexcept override {
-    return SettlementOrdering::kCommutative;
-  }
 };
 
 }  // namespace sfl::auction

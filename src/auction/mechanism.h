@@ -70,19 +70,12 @@ struct RoundSettlement {
   }
 };
 
-/// How a mechanism's settle() calls may be scheduled by an asynchronous
-/// settlement executor (core::AsyncSettler).
+/// Retired settlement-scheduling contract: settle() is always applied
+/// synchronously, in round order, so kRoundOrder is the only value. Kept
+/// only so perfbench's decorator, which overrides and forwards
+/// settlement_ordering(), keeps compiling.
 enum class SettlementOrdering {
-  /// settle() must see settlements one at a time, in round order: the
-  /// mechanism's post-round state depends on the order of application
-  /// (virtual queues with max(0, .) clamps, clamped price updates). The
-  /// safe default.
   kRoundOrder,
-  /// settle() outcomes are invariant under reordering AND merging of
-  /// settlements (concatenated winners, summed totals): an async executor
-  /// may coalesce several queued rounds into one settle() call. Stateless
-  /// rules whose settle() is a no-op declare this.
-  kCommutative,
 };
 
 class Mechanism {
@@ -124,26 +117,23 @@ class Mechanism {
   /// overrides and forwards it, keeps compiling.
   virtual void observe(const RoundObservation& /*observation*/) {}
 
-  /// Declares how an async executor may schedule this rule's settle()
-  /// calls. Default is the conservative strict round order; rules whose
-  /// settle() commutes (stateless baselines) override to kCommutative and
-  /// may have queued settlements merged into one call.
+  /// Retired with SettlementOrdering: always kRoundOrder, and nothing in
+  /// the library reads it. Kept only for perfbench's decorator.
   [[nodiscard]] virtual SettlementOrdering settlement_ordering() const noexcept {
     return SettlementOrdering::kRoundOrder;
   }
 
-  /// Settlement barrier: returns only once every settlement reported so far
-  /// has been applied to mechanism state. Synchronous mechanisms apply
-  /// inside settle(), so the default is a no-op; asynchronous decorators
-  /// (core::AsyncSettlementMechanism) override it to drain their queue.
-  /// Callers must flush before reading settlement-derived state (queue
-  /// backlogs, adapted prices) off a possibly-async mechanism.
+  /// Retired settlement barrier: every mechanism applies settle() inline,
+  /// so this is a no-op that nothing in the library calls. Kept only so
+  /// perfbench's decorator, which overrides and forwards it, keeps
+  /// compiling.
   virtual void flush() {}
 
   /// The mechanism implementing the auction rule itself, unwrapping any
-  /// execution decorators (async settlement). Diagnostics that downcast to
-  /// a concrete rule (orchestrator reading LTO queue backlogs) go through
-  /// here so they keep working when the rule is wrapped.
+  /// forwarding decorator (perfbench's ProbedMechanism, test decorators).
+  /// Diagnostics that downcast to a concrete rule (the orchestrator and
+  /// run_market reading LTO queue backlogs) go through here so they keep
+  /// working when the rule is wrapped.
   [[nodiscard]] virtual Mechanism* underlying() noexcept { return this; }
   [[nodiscard]] const Mechanism* underlying() const noexcept {
     return const_cast<Mechanism*>(this)->underlying();

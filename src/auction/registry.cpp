@@ -5,7 +5,6 @@
 
 #include "auction/adaptive_price.h"
 #include "auction/baselines.h"
-#include "core/async_settler.h"
 #include "core/long_term_online_vcg.h"
 #include "util/require.h"
 
@@ -14,15 +13,6 @@ namespace sfl::auction {
 using sfl::util::require;
 
 namespace {
-
-/// Applies the lto.async_settle knob: wraps the rule in the streamed
-/// settlement pipeline (results stay bit-identical; settle() just moves to
-/// the shared pool behind a flush barrier).
-std::unique_ptr<Mechanism> maybe_async(std::unique_ptr<Mechanism> mechanism,
-                                       const MechanismConfig& config) {
-  if (!config.lto.async_settle) return mechanism;
-  return std::make_unique<core::AsyncSettlementMechanism>(std::move(mechanism));
-}
 
 core::LtoVcgConfig lto_config_from(const MechanismConfig& config, bool paced) {
   core::LtoVcgConfig lto;
@@ -62,8 +52,7 @@ std::unique_ptr<Mechanism> build_distributed(const MechanismConfig& config,
       config.lto.dist_workers == 0 ? workers : config.lto.dist_workers;
   lto.dist_hedge = hedge;
   lto.name = name;
-  return maybe_async(std::make_unique<core::LongTermOnlineVcgMechanism>(lto),
-                     config);
+  return std::make_unique<core::LongTermOnlineVcgMechanism>(lto);
 }
 
 void register_builtins(MechanismRegistry& registry) {
@@ -73,9 +62,8 @@ void register_builtins(MechanismRegistry& registry) {
       "affine maximizer, truthful critical payments, budget queue Q and "
       "per-client pacing queues Z_i",
       [](const MechanismConfig& config) -> std::unique_ptr<Mechanism> {
-        return maybe_async(std::make_unique<core::LongTermOnlineVcgMechanism>(
-                               lto_config_from(config, /*paced=*/true)),
-                           config);
+        return std::make_unique<core::LongTermOnlineVcgMechanism>(
+            lto_config_from(config, /*paced=*/true));
       });
   registry.add_variant(
       "lto-vcg-sharded", "lto-vcg",
@@ -86,8 +74,7 @@ void register_builtins(MechanismRegistry& registry) {
         core::LtoVcgConfig lto = lto_config_from(config, /*paced=*/true);
         lto.shards = config.lto.shards;
         lto.name = "lto-vcg-sharded";
-        return maybe_async(
-            std::make_unique<core::LongTermOnlineVcgMechanism>(lto), config);
+        return std::make_unique<core::LongTermOnlineVcgMechanism>(lto);
       });
   registry.add_variant(
       "lto-vcg-dist", "lto-vcg",
@@ -114,27 +101,13 @@ void register_builtins(MechanismRegistry& registry) {
         return build_distributed(config, "lto-vcg-dist-hedge", /*workers=*/4,
                                  /*hedge=*/true);
       });
-  registry.add_variant(
-      "lto-vcg-async", "lto-vcg",
-      "LTO-VCG behind the streamed settlement pipeline: settle() enqueues "
-      "onto the shared pool, run_round drains first (flush barrier), so "
-      "trajectories stay bit-identical to lto-vcg while queue updates "
-      "overlap the caller's training work (lto.shards still applies)",
-      [](const MechanismConfig& config) -> std::unique_ptr<Mechanism> {
-        core::LtoVcgConfig lto = lto_config_from(config, /*paced=*/true);
-        lto.shards = config.lto.shards;
-        lto.name = "lto-vcg-async";
-        return std::make_unique<core::AsyncSettlementMechanism>(
-            std::make_unique<core::LongTermOnlineVcgMechanism>(lto));
-      });
   registry.add(
       "lto-vcg-unpaced",
       "LTO-VCG ablation with the sustainability queues Z_i disabled "
       "(budget queue only)",
       [](const MechanismConfig& config) -> std::unique_ptr<Mechanism> {
-        return maybe_async(std::make_unique<core::LongTermOnlineVcgMechanism>(
-                               lto_config_from(config, /*paced=*/false)),
-                           config);
+        return std::make_unique<core::LongTermOnlineVcgMechanism>(
+            lto_config_from(config, /*paced=*/false));
       });
   registry.add(
       "myopic-vcg",

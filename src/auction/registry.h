@@ -8,17 +8,16 @@
 // a one-line summary, so front-ends can enumerate rules without linking
 // against their headers.
 //
-// Built-in keys (see registry.cpp): lto-vcg, lto-vcg-sharded, lto-vcg-async,
+// Built-in keys (see registry.cpp): lto-vcg, lto-vcg-sharded,
 // lto-vcg-dist, lto-vcg-dist-hedge, lto-vcg-unpaced,
 // myopic-vcg, pay-as-bid,
 // fixed-price, adaptive-price, random-stipend, proportional-share,
 // first-best-oracle, budgeted-oracle, budgeted-oracle-par, greedy-concave,
 // greedy-concave-par, myopic-vcg-ext, myopic-vcg-ext-par. New mechanisms
-// register under a new
-// key; downstream
-// sharding/async/distribution work addresses rules by key only. Execution
-// variants (same rule, bit-identical results, different topology) register
-// through add_variant so the property harness covers them automatically.
+// register under a new key; downstream sharding/distribution work addresses
+// rules by key only. Execution variants (same rule, bit-identical results,
+// different topology) register through add_variant so the property harness
+// covers them automatically.
 #pragma once
 
 #include <cstdint>
@@ -76,14 +75,6 @@ struct LtoVcgOptions {
   /// first one pays the buffer-growth allocations; safe whenever no two
   /// mechanisms run a round concurrently.
   sfl::auction::RoundScratch* shared_scratch = nullptr;
-  /// Streamed settlement: wrap the built mechanism in the async settlement
-  /// pipeline (core::AsyncSettlementMechanism), so settle() enqueues onto
-  /// the shared thread pool and every run_round entry point drains the
-  /// queue first. Results are bit-identical to synchronous settlement; only
-  /// when the caller's round loop overlaps work with the pending
-  /// settlement does wall time change. The "lto-vcg-async" key forces this
-  /// on; the knob extends it to every other lto-vcg* key.
-  bool async_settle = false;
   /// Thread lanes for the vcg_externality_payments ablation's per-winner
   /// leave-one-out re-solves (0 = auto, 1 = serial, k = exactly k lanes).
   /// Bit-identical payments at every count; ignored under the default
@@ -156,7 +147,7 @@ struct MechanismInfo {
   std::string description;
   /// Non-empty when this key is an execution variant of another key: same
   /// auction rule, same bit-identical results on every input, different
-  /// execution topology (threads, async settlement, distributed workers).
+  /// execution topology (threads, distributed workers).
   /// The property harness sweeps trajectory equality over every key whose
   /// variant_of names the same canonical rule — registering a new variant
   /// here is ALL it takes to be covered (no hand-maintained test list).

@@ -135,14 +135,6 @@ class LongTermOnlineVcgMechanism final : public sfl::auction::Mechanism {
   /// moves, so the corrected report applies exactly once.
   void settle(const sfl::auction::RoundSettlement& settlement) override;
 
-  /// Queue updates depend on application order (max(0, .) clamps), so the
-  /// async executor must keep settlements in round order — the base-class
-  /// default, restated here as the explicit contract.
-  [[nodiscard]] sfl::auction::SettlementOrdering settlement_ordering()
-      const noexcept override {
-    return sfl::auction::SettlementOrdering::kRoundOrder;
-  }
-
   [[nodiscard]] bool is_truthful() const noexcept override { return true; }
 
   /// Current budget-queue backlog Q(t).

@@ -1,12 +1,10 @@
 #include "core/market_simulation.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "auction/market_batch.h"
 #include "auction/registry.h"
 #include "auction/sharded_wdp.h"
-#include "core/async_settler.h"
 #include "core/long_term_online_vcg.h"
 #include "util/require.h"
 
@@ -93,17 +91,6 @@ MarketResult run_market(sfl::auction::Mechanism& mechanism, const MarketSpec& sp
   result.payment_series.reserve(spec.rounds);
   result.cumulative_payment_series.reserve(spec.rounds);
 
-  // Streamed settlement: the settler applies settle() on the shared pool;
-  // the flush barrier at the top of each round keeps stateful rules
-  // scoring against fully-settled queues — bit-identical trajectories.
-  // A mechanism that is already an async decorator (underlying() reaches
-  // through it) streams on its own; stacking a second queue would double
-  // every copy and drain for zero extra overlap.
-  std::optional<AsyncSettler> settler;
-  if (spec.async_settle && mechanism.underlying() == &mechanism) {
-    settler.emplace(mechanism);
-  }
-
   // Round buffers reused across rounds (zero-allocation steady state once
   // capacities settle).
   CandidateBatch batch;
@@ -125,7 +112,6 @@ MarketResult run_market(sfl::auction::Mechanism& mechanism, const MarketSpec& sp
   };
 
   for (std::size_t round = 0; round < spec.rounds; ++round) {
-    if (settler.has_value()) settler->flush();
     const std::vector<double> costs = cost_model.draw_round(cost_rng);
     batch.clear();
     for (std::size_t i = 0; i < spec.num_clients; ++i) {
@@ -185,18 +171,8 @@ MarketResult run_market(sfl::auction::Mechanism& mechanism, const MarketSpec& sp
     result.welfare_series.push_back(round_welfare);
     result.payment_series.push_back(round_payment);
     result.cumulative_payment_series.push_back(budget.cumulative_payment());
-    if (settler.has_value()) {
-      settler->enqueue(settlement);  // swap semantics: storage is recycled
-    } else {
-      mechanism.settle(settlement);
-    }
+    mechanism.settle(settlement);
   }
-
-  // Final barrier: the last round's settlement must land before queue
-  // diagnostics are read (covers both the local settler and mechanisms
-  // that are themselves async decorators).
-  if (settler.has_value()) settler->flush();
-  mechanism.flush();
 
   result.cumulative_welfare = ledger.social_welfare();
   result.time_average_welfare =

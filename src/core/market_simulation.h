@@ -49,12 +49,6 @@ struct MarketSpec {
   double valuation_scale = 2.0;
   double value_sigma = 0.35;
   econ::CostModelSpec cost{};
-  /// Streamed settlement: route mechanism.settle() through a
-  /// core::AsyncSettler on the shared pool, with a flush barrier before
-  /// each run_round and before final queue reads — results are
-  /// bit-identical to the synchronous path (the async determinism suite
-  /// enforces this for every registry mechanism).
-  bool async_settle = false;
   /// Streaming arrival/departure with per-client win budgets.
   OnlineArrivalSpec online{};
   std::uint64_t seed = 7;

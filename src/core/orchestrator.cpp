@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/async_settler.h"
 #include "core/long_term_online_vcg.h"
 #include "econ/budget_tracker.h"
 #include "econ/ledger.h"
@@ -52,15 +51,6 @@ SustainableFlOrchestrator::SustainableFlOrchestrator(
       config_(config),
       strategies_(std::move(strategies)) {
   require(mechanism_ != nullptr, "orchestrator needs a mechanism");
-  if (config_.async_settle && mechanism_->underlying() == mechanism_.get()) {
-    // Streamed settlement: settle() returns immediately and the queue
-    // updates run on the shared pool while the round does local training.
-    // The loop's flush points keep trajectories bit-identical to sync.
-    // Already-async mechanisms (registry lto-vcg-async / lto.async_settle)
-    // stream on their own and are not wrapped twice.
-    mechanism_ = std::make_unique<AsyncSettlementMechanism>(
-        std::move(mechanism_));
-  }
   require(config_.rounds > 0, "orchestrator needs at least one round");
   require(config_.valuation_scale > 0.0, "valuation scale must be > 0");
   require(strategies_.empty() || strategies_.size() == scenario.num_clients(),
@@ -95,8 +85,8 @@ RunResult SustainableFlOrchestrator::run() {
     energy.emplace(num_clients, config_.energy);
   }
   const econ::TruthfulStrategy truthful;
-  // underlying() unwraps execution decorators (async settlement), so queue
-  // diagnostics keep reading the real rule.
+  // underlying() unwraps forwarding decorators, so queue diagnostics keep
+  // reading the real rule.
   auto* lto =
       dynamic_cast<LongTermOnlineVcgMechanism*>(mechanism_->underlying());
 
@@ -251,12 +241,6 @@ RunResult SustainableFlOrchestrator::run() {
     }
 
     cumulative_welfare += round_welfare;
-
-    // Settlement barrier: the record below reads queue state for THIS
-    // round, so the async pipeline (which overlapped the mechanism's queue
-    // updates with the training block above) must drain first. No-op for
-    // synchronous mechanisms.
-    mechanism_->flush();
 
     RoundRecord record;
     record.round = round;

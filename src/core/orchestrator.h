@@ -52,12 +52,6 @@ struct OrchestratorConfig {
   /// clients that are also cheap, the adverse-selection case quality-blind
   /// mechanisms fall for.
   std::vector<double> cost_multipliers{};
-  /// Streamed settlement: wrap the mechanism in the async settlement
-  /// pipeline so settle() enqueues onto the shared pool and queue updates
-  /// overlap local training. The round loop flushes before every
-  /// settlement-derived read, so trajectories (records, queue backlogs,
-  /// payments) are bit-identical to the synchronous path.
-  bool async_settle = false;
   std::uint64_t seed = 1;
 };
 

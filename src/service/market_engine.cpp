@@ -10,9 +10,7 @@ namespace sfl::service {
 namespace {
 
 /// The mechanism's external-round surface, or nullptr when this market must
-/// clear through run_round_into. Unwraps execution decorators (async
-/// settlement) — the decorator only reorders settle() delivery, which the
-/// flush() barrier in clear_market_rounds serializes before inputs are read.
+/// clear through run_round_into. Unwraps forwarding decorators.
 sfl::core::LongTermOnlineVcgMechanism* external_round_target(
     sfl::auction::Mechanism& mechanism) {
   auto* lto = dynamic_cast<sfl::core::LongTermOnlineVcgMechanism*>(
@@ -106,9 +104,6 @@ void clear_market_rounds(MultiMarketClearer& clearer,
       continue;
     }
     fill_canonical_batch(*req.rows, *req.batch);
-    // Settlement barrier BEFORE reading queue-derived inputs: an async
-    // decorator may still be applying the previous round's settlement.
-    req.mechanism->flush();
     const sfl::auction::ScoreWeights weights =
         lto->external_round_inputs(*req.batch, clearer.penalties_scratch);
     clearer.markets.append_market(*req.batch, config.max_winners, weights,

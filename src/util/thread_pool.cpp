@@ -21,24 +21,8 @@ ThreadPool::~ThreadPool() {
     const std::scoped_lock lock(mutex_);
     stopping_ = true;
   }
-  task_available_.notify_all();
+  job_available_.notify_all();
   for (auto& worker : workers_) worker.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  require(static_cast<bool>(task), "cannot submit an empty task");
-  {
-    const std::scoped_lock lock(mutex_);
-    require(!stopping_, "cannot submit to a stopping thread pool");
-    tasks_.push(std::move(task));
-    ++in_flight_;
-  }
-  task_available_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 std::pair<std::size_t, std::size_t> ThreadPool::chunk_range(
@@ -67,7 +51,7 @@ void ThreadPool::run_bulk(std::size_t count,
     bulk_ = &job;
     ++bulk_generation_;
   }
-  task_available_.notify_all();
+  job_available_.notify_all();
 
   // The caller is a full participant: even a 1-thread pool makes progress
   // without bouncing the job through a worker.
@@ -100,43 +84,27 @@ void ThreadPool::participate(BulkJob& job) {
 void ThreadPool::worker_loop() {
   std::uint64_t seen_bulk_generation = 0;
   while (true) {
-    std::function<void()> task;
     BulkJob* bulk = nullptr;
     {
       std::unique_lock lock(mutex_);
-      task_available_.wait(lock, [&] {
-        return stopping_ || !tasks_.empty() ||
-               (bulk_ != nullptr && bulk_generation_ != seen_bulk_generation);
-      });
-      if (bulk_ != nullptr && bulk_generation_ != seen_bulk_generation) {
-        // Join the bulk job exactly once per generation; workers_inside is
-        // incremented under the same lock that published bulk_, so run_bulk
-        // cannot retire the job while we hold a pointer to it.
-        seen_bulk_generation = bulk_generation_;
-        bulk = bulk_;
-        ++bulk->workers_inside;
-      } else if (!tasks_.empty()) {
-        task = std::move(tasks_.front());
-        tasks_.pop();
-      } else if (stopping_) {
-        return;
-      } else {
-        continue;
-      }
+      const auto has_new_job = [&] {
+        return bulk_ != nullptr && bulk_generation_ != seen_bulk_generation;
+      };
+      job_available_.wait(lock, [&] { return stopping_ || has_new_job(); });
+      // A published job is joined before stopping_ is honoured, so run_bulk
+      // never waits on a worker that left.
+      if (!has_new_job()) return;
+      // Join the bulk job exactly once per generation; workers_inside is
+      // incremented under the same lock that published bulk_, so run_bulk
+      // cannot retire the job while we hold a pointer to it.
+      seen_bulk_generation = bulk_generation_;
+      bulk = bulk_;
+      ++bulk->workers_inside;
     }
-    if (bulk != nullptr) {
-      participate(*bulk);
-      const std::scoped_lock lock(mutex_);
-      --bulk->workers_inside;
-      if (bulk->workers_inside == 0) bulk_done_.notify_all();
-      continue;
-    }
-    task();
-    {
-      const std::scoped_lock lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.notify_all();
-    }
+    participate(*bulk);
+    const std::scoped_lock lock(mutex_);
+    --bulk->workers_inside;
+    if (bulk->workers_inside == 0) bulk_done_.notify_all();
   }
 }
 

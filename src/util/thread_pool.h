@@ -1,19 +1,13 @@
 // Fixed-size thread pool used to parallelize local client training, the
-// sharded auction hot path, and the async settlement drain tasks
-// (core::AsyncSettler submits at most one short-lived drain task at a
-// time, so settlement never monopolizes a worker).
+// sharded auction hot path and the parallel comparison oracles.
 //
-// Two execution modes:
-//  - submit()/wait_idle(): queued void tasks (the async settlement drain
-//    uses it). Each submit allocates a task node.
-//  - parallel_for_chunks(): the one data-parallel loop — a blocking
-//    fork-join over index ranges with stable chunking. The calling thread
-//    participates, workers race over an atomic chunk cursor, and the call
-//    performs ZERO heap allocations. The allocation-free auction round
-//    pipeline relies on it; local client training runs one chunk per
-//    participant through it.
+// One execution mode: parallel_for_chunks(), a blocking fork-join over
+// index ranges with stable chunking. The calling thread participates,
+// workers race over an atomic chunk cursor, and the call performs ZERO
+// heap allocations. The allocation-free auction round pipeline relies on
+// it; local client training runs one chunk per participant through it.
 //
-// Determinism note: tasks must not share RNG streams; the simulator gives
+// Determinism note: chunks must not share RNG streams; the simulator gives
 // each client its own split stream, so execution order never changes results.
 #pragma once
 
@@ -21,9 +15,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -39,15 +31,8 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Drains outstanding work, then joins all workers.
+  /// Joins all workers.
   ~ThreadPool();
-
-  /// Enqueues a task. Tasks must not throw; exceptions escaping a task
-  /// terminate the process (by design — a failed worker invalidates results).
-  void submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished.
-  void wait_idle();
 
   [[nodiscard]] std::size_t thread_count() const noexcept { return workers_.size(); }
 
@@ -105,15 +90,12 @@ class ThreadPool {
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
-  std::condition_variable task_available_;
-  std::condition_variable all_done_;
+  std::condition_variable job_available_;
   std::condition_variable bulk_done_;
   std::mutex bulk_caller_mutex_;  ///< serializes concurrent run_bulk callers
   BulkJob* bulk_ = nullptr;       ///< guarded by mutex_
   std::uint64_t bulk_generation_ = 0;  ///< guarded by mutex_
-  std::size_t in_flight_ = 0;
   bool stopping_ = false;
 };
 

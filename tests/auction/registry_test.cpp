@@ -25,7 +25,7 @@ TEST(MechanismRegistryTest, ListsAllBuiltins) {
   const auto& registry = MechanismRegistry::global();
   const std::vector<std::string> expected{
       "lto-vcg",        "lto-vcg-sharded",  "lto-vcg-dist",
-      "lto-vcg-dist-hedge", "lto-vcg-async", "lto-vcg-unpaced",
+      "lto-vcg-dist-hedge", "lto-vcg-unpaced",
       "myopic-vcg",     "pay-as-bid",       "fixed-price",
       "adaptive-price", "random-stipend",   "proportional-share",
       "first-best-oracle", "budgeted-oracle", "budgeted-oracle-par",
@@ -53,7 +53,7 @@ TEST(MechanismRegistryTest, ListsAllBuiltins) {
   }
   EXPECT_EQ(lto_variants,
             (std::vector<std::string>{"lto-vcg-sharded", "lto-vcg-dist",
-                                      "lto-vcg-dist-hedge", "lto-vcg-async"}));
+                                      "lto-vcg-dist-hedge"}));
   // The parallel-oracle keys are tagged as execution variants of their
   // serial canonicals, so the generic variant-equality sweep covers them
   // with no hand-maintained list.
@@ -101,15 +101,6 @@ TEST(MechanismRegistryTest, HedgeKnobReachesTheDistributedKeys) {
     ASSERT_NE(lto, nullptr);
     EXPECT_TRUE(lto->config().dist_hedge);
     EXPECT_EQ(lto->config().dist_workers, 4u);
-  }
-  // Like every lto-vcg* key, it honors the async_settle knob.
-  {
-    config.lto.async_settle = true;
-    const auto mechanism = build_mechanism("lto-vcg-dist-hedge", config);
-    EXPECT_NE(mechanism->underlying(), mechanism.get());
-    EXPECT_NE(dynamic_cast<core::LongTermOnlineVcgMechanism*>(
-                  mechanism->underlying()),
-              nullptr);
   }
 }
 

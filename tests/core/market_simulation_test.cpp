@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+
 #include "auction/baselines.h"
 #include "core/long_term_online_vcg.h"
+#include "forwarding_mechanism.h"
 
 namespace sfl::core {
 namespace {
@@ -54,6 +59,25 @@ TEST(MarketSimulationTest, SameSeedIsExactlyReproducible) {
   EXPECT_EQ(ra.welfare_series, rb.welfare_series);
   EXPECT_EQ(ra.payment_series, rb.payment_series);
   EXPECT_EQ(ra.client_utilities, rb.client_utilities);
+}
+
+TEST(MarketSimulationTest, QueueDiagnosticsReachLtoThroughDecorator) {
+  // run_market reads the final and average Q through
+  // Mechanism::underlying(), so a forwarding decorator (perfbench's probe
+  // wraps LTO-VCG this way) must report the unwrapped run's backlogs.
+  const MarketSpec spec = small_market();
+  LongTermOnlineVcgMechanism plain(lto_config(spec));
+  ForwardingMechanism wrapped(
+      std::make_unique<LongTermOnlineVcgMechanism>(lto_config(spec)));
+  const MarketResult want = run_market(plain, spec);
+  const MarketResult got = run_market(wrapped, spec);
+  EXPECT_NE(want.final_budget_backlog, 0.0);
+  EXPECT_NE(want.average_budget_backlog, 0.0);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(want.final_budget_backlog),
+            std::bit_cast<std::uint64_t>(got.final_budget_backlog));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(want.average_budget_backlog),
+            std::bit_cast<std::uint64_t>(got.average_budget_backlog));
+  EXPECT_EQ(want.payment_series, got.payment_series);
 }
 
 TEST(MarketSimulationTest, LtoVcgIsIrAndBudgetStable) {

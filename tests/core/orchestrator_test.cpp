@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <sstream>
 
 #include "auction/baselines.h"
 #include "core/long_term_online_vcg.h"
 #include "fl/logistic_regression.h"
+#include "forwarding_mechanism.h"
 
 namespace sfl::core {
 namespace {
@@ -96,6 +99,30 @@ TEST(OrchestratorTest, DeterministicAcrossRuns) {
   for (std::size_t t = 0; t < ra.rounds.size(); ++t) {
     EXPECT_EQ(ra.rounds[t].payment, rb.rounds[t].payment);
     EXPECT_EQ(ra.rounds[t].welfare, rb.rounds[t].welfare);
+  }
+}
+
+TEST(OrchestratorTest, QueueDiagnosticsReachLtoThroughDecorator) {
+  // The orchestrator reads Q(t) through Mechanism::underlying(), so a
+  // forwarding decorator (perfbench's probe wraps LTO-VCG this way) must
+  // leave every recorded backlog bit-identical to the unwrapped run.
+  const auto sspec = small_scenario_spec();
+  const sim::Scenario scenario = sim::build_scenario(sspec);
+  OrchestratorConfig config = orchestrator_config(30);
+  config.per_round_budget = 0.5;  // below every round's spend: Q(t) > 0
+  SustainableFlOrchestrator plain(scenario, make_model(sspec), training_spec(),
+                                  make_lto(config), config);
+  SustainableFlOrchestrator wrapped(
+      scenario, make_model(sspec), training_spec(),
+      std::make_unique<ForwardingMechanism>(make_lto(config)), config);
+  const RunResult want = plain.run();
+  const RunResult got = wrapped.run();
+  ASSERT_EQ(want.rounds.size(), got.rounds.size());
+  for (std::size_t t = 0; t < want.rounds.size(); ++t) {
+    EXPECT_NE(want.rounds[t].budget_backlog, 0.0) << "round " << t;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(want.rounds[t].budget_backlog),
+              std::bit_cast<std::uint64_t>(got.rounds[t].budget_backlog))
+        << "round " << t;
   }
 }
 
