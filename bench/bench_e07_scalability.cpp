@@ -23,7 +23,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <memory>
 #include <string>
 
 #include "auction/market_batch.h"
@@ -34,8 +33,6 @@
 #include "auction/valuation.h"
 #include "auction/winner_determination.h"
 #include "bench_common.h"
-#include "dist/distributed_wdp.h"
-#include "dist/loopback_transport.h"
 #include "util/config.h"
 #include "util/rng.h"
 
@@ -196,102 +193,6 @@ void BM_MegaBatchMarkets(benchmark::State& state) {
 BENCHMARK(BM_MegaBatchMarkets)
     ->RangeMultiplier(10)
     ->Range(1'000, sfl::util::fast_mode_enabled() ? 1'000 : 100'000)
-    ->Unit(benchmark::kMicrosecond)
-    ->UseRealTime();
-
-void BM_FullRoundDistributedLoopback(benchmark::State& state) {
-  // The distributed coordinator over the in-process loopback transport:
-  // arg0 = N, arg1 = workers (= shards). Pays the full wire-codec
-  // round-trip per shard (encode span, decode request, encode/decode
-  // survivors), so the gap to BM_FullRoundScratchSerial is the
-  // serialization + coordination overhead a real deployment amortizes
-  // against network-parallel scoring.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto workers = static_cast<std::size_t>(state.range(1));
-  const RandomInstance instance = make_instance(n);
-  const CandidateBatch batch = CandidateBatch::from_aos(instance.candidates);
-  const ScoreWeights weights{10.0, 12.5};
-  const std::size_t m = 10;
-  const sfl::dist::DistributedWdp engine{
-      sfl::dist::DistributedWdpConfig{.workers = workers}};
-  RoundScratch scratch;
-  for (auto _ : state) {
-    engine.run_round(batch, weights, m, {}, scratch);
-    benchmark::DoNotOptimize(scratch.payments.data());
-  }
-  state.SetComplexityN(static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_FullRoundDistributedLoopback)
-    ->ArgsProduct({benchmark::CreateRange(10'000, scal_max_n(), 10), {2, 4}})
-    ->Unit(benchmark::kMicrosecond);
-
-/// One synchronous distributed round per iteration over 4 loopback workers
-/// with wall-clock reply latencies, in three configurations (the PR-7
-/// acceptance family): no straggler (baseline), a permanent 800us straggler
-/// with hedging on, and the same straggler with hedging off. With hedging
-/// the coordinator learns the straggler's envelope and races its shards
-/// against a hedge mate, so the hedged rounds/sec should land within ~1.5x
-/// of the no-straggler baseline, while the unhedged variant eats the full
-/// straggler latency every round. The engine (and its latency stats) lives
-/// across iterations; a short untimed warm-up covers the kHedgeMinSamples
-/// cold start so the timed region measures the steady state.
-void bench_hedged_straggler(benchmark::State& state, bool straggler,
-                            bool hedge) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kWorkers = 4;
-  const RandomInstance instance = make_instance(n);
-  const CandidateBatch batch = CandidateBatch::from_aos(instance.candidates);
-  const ScoreWeights weights{10.0, 12.5};
-  const std::size_t m = 10;
-
-  auto transport = std::make_unique<sfl::dist::LoopbackTransport>(kWorkers);
-  auto* raw = transport.get();
-  for (std::size_t w = 0; w < kWorkers; ++w) {
-    raw->set_worker_latency(w, std::chrono::microseconds(100));
-  }
-  const sfl::dist::DistributedWdp engine{
-      sfl::dist::DistributedWdpConfig{
-          .receive_timeout = std::chrono::milliseconds(50), .hedge = hedge},
-      std::move(transport)};
-  if (straggler) {
-    // Slow down a worker that actually owns shards (rendezvous routing may
-    // leave an arbitrary worker without a home assignment at 4 shards).
-    raw->set_worker_latency(engine.home_worker(0),
-                            std::chrono::microseconds(800));
-  }
-
-  RoundScratch scratch;
-  for (std::size_t warm = 0; warm < 24; ++warm) {
-    engine.run_round(batch, weights, m, {}, scratch);
-  }
-  for (auto _ : state) {
-    engine.run_round(batch, weights, m, {}, scratch);
-    benchmark::DoNotOptimize(scratch.payments.data());
-  }
-  state.SetItemsProcessed(state.iterations());  // items/sec == rounds/sec
-}
-
-void BM_HedgedStragglerBaseline(benchmark::State& state) {
-  bench_hedged_straggler(state, /*straggler=*/false, /*hedge=*/true);
-}
-BENCHMARK(BM_HedgedStragglerBaseline)
-    ->Arg(4'096)
-    ->Unit(benchmark::kMicrosecond)
-    ->UseRealTime();
-
-void BM_HedgedStragglerRecovery(benchmark::State& state) {
-  bench_hedged_straggler(state, /*straggler=*/true, /*hedge=*/true);
-}
-BENCHMARK(BM_HedgedStragglerRecovery)
-    ->Arg(4'096)
-    ->Unit(benchmark::kMicrosecond)
-    ->UseRealTime();
-
-void BM_UnhedgedStraggler(benchmark::State& state) {
-  bench_hedged_straggler(state, /*straggler=*/true, /*hedge=*/false);
-}
-BENCHMARK(BM_UnhedgedStraggler)
-    ->Arg(4'096)
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 
@@ -460,24 +361,8 @@ bool verify_sharded_equivalence() {
         return false;
       }
     }
-    // The distributed coordinator (loopback workers, full codec round
-    // trip) is held to the same bit-identical bar — the ISSUE-4
-    // acceptance worker counts.
-    for (const std::size_t workers : {1, 2, 4, 7}) {
-      const sfl::dist::DistributedWdp engine{
-          sfl::dist::DistributedWdpConfig{.workers = workers}};
-      RoundScratch scratch;
-      engine.run_round(batch, weights, m, {}, scratch);
-      if (scratch.allocation.selected != serial.selected ||
-          scratch.allocation.total_score != serial.total_score ||
-          scratch.payments != serial_payments) {
-        std::cerr << "E7 FATAL: distributed WDP diverges from serial at n="
-                  << n << " workers=" << workers << "\n";
-        return false;
-      }
-    }
   }
-  std::cout << "E7: serial-vs-sharded-vs-distributed equivalence sweep OK\n";
+  std::cout << "E7: serial-vs-sharded equivalence sweep OK\n";
   return true;
 }
 

@@ -7,7 +7,6 @@
 //                  [partition=dirichlet|iid|quantity] [alpha=0.3]
 //                  [noisy_fraction=0.3] [flip_prob=0.8]
 //                  [budget=6] [winners=8] [v=10] [pacing=0.5] [shards=0]
-//                  [dist_workers=0] [hedge=1]
 //                  [oracle_threads=0] [greedy_scale=20]
 //                  [model=logreg|mlp] [hidden=32] [lr=0.05] [local_steps=5]
 //                  [proximal_mu=0]
@@ -47,16 +46,6 @@
 // hardware thread, 1 = serial, k = exactly k shards) and produces the same
 // winners and payments as lto-vcg at any setting.
 //
-// mechanism=lto-vcg-dist runs winner determination on the distributed WDP
-// coordinator: `dist_workers` in-process loopback shard workers receive
-// batch spans and return top-(m+1) survivor sets through the wire codec
-// (dist_workers=0 uses the key's default of 2). Winners and payments are
-// bit-identical to lto-vcg for any worker count.
-//
-// mechanism=lto-vcg-dist hedges laggard shards by default (adaptive
-// per-worker deadlines; hedge=0 disables), and mechanism=lto-vcg-dist-hedge
-// forces hedging on over a 4-worker default fleet.
-//
 // The parallel comparison-oracle keys (mechanism=budgeted-oracle-par,
 // greedy-concave-par, myopic-vcg-ext-par) run the expensive baseline
 // oracles on the shared thread pool: `oracle_threads` picks the lane
@@ -94,8 +83,6 @@ sfl::auction::MechanismConfig mechanism_config_from(const Config& args,
   config.lto.v_weight = args.get_double("v", 10.0);
   config.lto.pacing_rate = args.get_double("pacing", 0.5);
   config.lto.shards = args.get_size("shards", 0);
-  config.lto.dist_workers = args.get_size("dist_workers", 0);
-  config.lto.hedge = args.get_bool("hedge", true);
   // One knob feeds both parallel-oracle surfaces: the "-par" comparison
   // oracle keys (0 = auto) and the lto externality-payment ablation
   // (default 1 = serial). Bit-identical results at every count.

@@ -35,7 +35,6 @@ void print_usage(std::ostream& out) {
          "  --winners=M          max winners per round (default 8)\n"
          "  --budget=B           per-round payment budget (default 6.0)\n"
          "  --v=V                Lyapunov V weight (default 10.0)\n"
-         "  --dist-workers=W     shard workers for dist keys (0 = default)\n"
          "  --seed=S             seed for randomized rules (default 42)\n"
          "  --help               show this message and exit\n"
          "\n"
@@ -97,9 +96,6 @@ int main(int argc, char** argv) {
     } else if (has_prefix(arg, "--v=")) {
       ok = parse_f64(arg, "--v=", config.engine.v_weight) &&
            config.engine.v_weight > 0.0;
-    } else if (has_prefix(arg, "--dist-workers=")) {
-      ok = parse_u64(arg, "--dist-workers=", u64);
-      config.engine.dist_workers = static_cast<std::size_t>(u64);
     } else if (has_prefix(arg, "--seed=")) {
       ok = parse_u64(arg, "--seed=", config.engine.seed);
     } else {

@@ -104,7 +104,7 @@ void print_usage(std::ostream& out) {
          "(default 1)\n"
          "  --json=PATH          write benchmark JSON (default: none)\n"
          "  --mechanism=KEY      registry key (default lto-vcg)\n"
-         "  --winners=M --budget=B --v=V --dist-workers=W --seed=S\n"
+         "  --winners=M --budget=B --v=V --seed=S\n"
          "                       engine knobs; MUST match the server's\n"
          "  --help               show this message and exit\n"
          "\n"
@@ -657,9 +657,6 @@ int main(int argc, char** argv) {
     } else if (has_prefix(arg, "--v=")) {
       ok = parse_f64(arg, "--v=", options.engine.v_weight) &&
            options.engine.v_weight > 0.0;
-    } else if (has_prefix(arg, "--dist-workers=")) {
-      ok = parse_u64(arg, "--dist-workers=", u64);
-      options.engine.dist_workers = static_cast<std::size_t>(u64);
     } else if (has_prefix(arg, "--seed=")) {
       ok = parse_u64(arg, "--seed=", options.engine.seed);
     } else {

@@ -39,22 +39,6 @@ core::LtoVcgConfig lto_config_from(const MechanismConfig& config, bool paced) {
   return lto;
 }
 
-/// The distributed keys: paced LTO-VCG on the DistributedWdp coordinator
-/// (lto.dist_workers = 0 picks `workers`). shards = 0 lets the coordinator
-/// derive one span per worker — reproducible from the configuration alone,
-/// unlike hardware auto.
-std::unique_ptr<Mechanism> build_distributed(const MechanismConfig& config,
-                                             const char* name,
-                                             std::size_t workers, bool hedge) {
-  core::LtoVcgConfig lto = lto_config_from(config, /*paced=*/true);
-  lto.shards = config.lto.shards;
-  lto.dist_workers =
-      config.lto.dist_workers == 0 ? workers : config.lto.dist_workers;
-  lto.dist_hedge = hedge;
-  lto.name = name;
-  return std::make_unique<core::LongTermOnlineVcgMechanism>(lto);
-}
-
 void register_builtins(MechanismRegistry& registry) {
   registry.add(
       "lto-vcg",
@@ -75,31 +59,6 @@ void register_builtins(MechanismRegistry& registry) {
         lto.shards = config.lto.shards;
         lto.name = "lto-vcg-sharded";
         return std::make_unique<core::LongTermOnlineVcgMechanism>(lto);
-      });
-  registry.add_variant(
-      "lto-vcg-dist", "lto-vcg",
-      "LTO-VCG over the distributed WDP coordinator: batch spans ship to "
-      "shard workers through the wire codec and their top-(m+1) survivor "
-      "sets merge exactly, so allocations and payments stay bit-identical "
-      "to lto-vcg for any worker count, reply order, or recovered fault "
-      "(lto.dist_workers: 0 = default 2, k = k loopback workers)",
-      [](const MechanismConfig& config) -> std::unique_ptr<Mechanism> {
-        return build_distributed(config, "lto-vcg-dist", /*workers=*/2,
-                                 config.lto.hedge);
-      });
-  registry.add_variant(
-      "lto-vcg-dist-hedge", "lto-vcg",
-      "LTO-VCG on the hedged distributed WDP coordinator: adaptive "
-      "per-worker deadlines (observed latency mean + k*stddev) re-dispatch "
-      "laggard shards to the next live worker in rendezvous order without "
-      "abandoning the original attempt, first valid reply wins, and "
-      "workers join/leave between rounds via kWorkerHello/kWorkerGoodbye — "
-      "settled trajectories bit-identical to lto-vcg under any straggler "
-      "or membership schedule (lto.dist_workers: 0 = default 4; hedging "
-      "forced on)",
-      [](const MechanismConfig& config) -> std::unique_ptr<Mechanism> {
-        return build_distributed(config, "lto-vcg-dist-hedge", /*workers=*/4,
-                                 /*hedge=*/true);
       });
   registry.add(
       "lto-vcg-unpaced",

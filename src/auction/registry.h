@@ -9,15 +9,14 @@
 // against their headers.
 //
 // Built-in keys (see registry.cpp): lto-vcg, lto-vcg-sharded,
-// lto-vcg-dist, lto-vcg-dist-hedge, lto-vcg-unpaced,
-// myopic-vcg, pay-as-bid,
+// lto-vcg-unpaced, myopic-vcg, pay-as-bid,
 // fixed-price, adaptive-price, random-stipend, proportional-share,
 // first-best-oracle, budgeted-oracle, budgeted-oracle-par, greedy-concave,
 // greedy-concave-par, myopic-vcg-ext, myopic-vcg-ext-par. New mechanisms
-// register under a new key; downstream sharding/distribution work addresses
-// rules by key only. Execution variants (same rule, bit-identical results,
-// different topology) register through add_variant so the property harness
-// covers them automatically.
+// register under a new key; front-ends address rules by key only.
+// Execution variants (same rule, bit-identical results, different thread
+// layout) register through add_variant so the property harness covers them
+// automatically.
 #pragma once
 
 #include <cstdint>
@@ -50,25 +49,10 @@ struct LtoVcgOptions {
   bool bid_proxy_queue_arrival = false;
   /// WDP shard count, consumed by the "lto-vcg-sharded" key: 0 = auto
   /// (hardware concurrency), 1 = serial (bit-identical to "lto-vcg"),
-  /// k > 1 = exactly k contiguous batch spans. Any shard count produces
-  /// identical allocations and payments; only wall time changes.
+  /// k > 1 = exactly k contiguous batch spans scored on the shared thread
+  /// pool. Any shard count produces identical allocations and payments;
+  /// only wall time changes. "lto-vcg" itself always clears serially.
   std::size_t shards = 0;
-  /// Shard-worker count, consumed by the "lto-vcg-dist" and
-  /// "lto-vcg-dist-hedge" keys: the round's winner determination runs on
-  /// the DistributedWdp coordinator over an in-process loopback transport
-  /// with this many workers (0 picks the key's default: 2, or 4 for
-  /// "lto-vcg-dist-hedge").
-  /// Bit-identical allocations and payments for any worker count; only
-  /// execution topology changes.
-  std::size_t dist_workers = 0;
-  /// Hedged dispatch on the "lto-vcg-dist" key: adaptive per-worker
-  /// deadlines re-dispatch laggard shards to the next live worker in
-  /// rendezvous order before the full receive timeout, first valid reply
-  /// wins. Trajectories are
-  /// bit-identical either way; hedging only changes tail latency under
-  /// stragglers and membership churn. The "lto-vcg-dist-hedge" key forces
-  /// this on.
-  bool hedge = true;
   /// Externally-owned RoundScratch shared across mechanisms (nullptr =
   /// each mechanism owns a private one). Multi-mechanism comparison runs
   /// hand every LTO-family mechanism the same warmed scratch so only the
@@ -147,7 +131,7 @@ struct MechanismInfo {
   std::string description;
   /// Non-empty when this key is an execution variant of another key: same
   /// auction rule, same bit-identical results on every input, different
-  /// execution topology (threads, distributed workers).
+  /// thread layout (shard or lane counts).
   /// The property harness sweeps trajectory equality over every key whose
   /// variant_of names the same canonical rule — registering a new variant
   /// here is ALL it takes to be covered (no hand-maintained test list).
@@ -167,8 +151,8 @@ class MechanismRegistry {
   void add(std::string name, std::string description, Factory factory);
 
   /// Registers an execution variant of `variant_of` (same rule, same
-  /// results, different topology); the property harness's trajectory sweep
-  /// picks it up automatically.
+  /// results, different thread layout); the property harness's trajectory
+  /// sweep picks it up automatically.
   void add_variant(std::string name, std::string variant_of,
                    std::string description, Factory factory);
 

@@ -414,8 +414,8 @@ void ShardedWdp::run_rounds(const MarketBatch& batch, MarketBatchResult& result,
   // price at the best-loser threshold. Market spans are disjoint
   // (validate()), so lanes never touch the same scores/order rows, and the
   // per-market math is step-for-step the select_top_m + critical_payments
-  // pair with shards = 1 — which the sharded/distributed engines are in
-  // turn bit-identical to, closing the mega-batch equality contract.
+  // pair with shards = 1 — which the sharded engine is in turn
+  // bit-identical to, closing the mega-batch equality contract.
   const auto clear_market = [&](std::size_t k) {
     const MarketView& view = batch.market(k);
     if (view.count == 0) return;  // slot stays zeroed from reset()

@@ -146,9 +146,8 @@ void WdpEngine::run_rounds(const MarketBatch& batch, MarketBatchResult& result,
 
   if (batch.exclusive()) {
     // Cross-market exclusivity is a batch-level constraint, not a
-    // per-market round, so every engine (including the distributed
-    // coordinator, which does not override run_rounds) clears it through
-    // this serial greedy on the caller's thread.
+    // per-market round, so every engine clears it through this serial
+    // greedy on the caller's thread.
     try {
       run_rounds_exclusive(batch, result, scratch);
     } catch (...) {

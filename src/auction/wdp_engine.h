@@ -2,21 +2,19 @@
 //
 // One auction round is "score the slate, select the exact top-m, price the
 // winners at their critical values" against a caller-owned RoundScratch.
-// The serial/multi-threaded ShardedWdp and the multi-process DistributedWdp
-// (src/dist) both implement this interface, and LongTermOnlineVcgMechanism
-// addresses whichever engine its config selects through it — so execution
-// topology (inline, thread-sharded, networked shard workers) is invisible
-// to the mechanism layer.
+// ShardedWdp (serial at shards = 1, thread-sharded above) is the engine
+// LongTermOnlineVcgMechanism clears on. This base class owns the reference
+// behaviour every engine must match: the serial run_rounds loop over
+// markets and the serial exclusive-batch greedy, which tests compare the
+// fused ShardedWdp paths against and test fakes inherit.
 //
 // Exactness contract shared by every implementation: for the same
 // (batch, weights, max_winners, penalties) inputs, allocation and payments
 // are bit-identical to the serial select_top_m + critical_payments pair.
-// Implementations may differ only in wall time and failure modes.
+// Implementations may differ only in wall time.
 //
-// Methods are const: an engine is logically immutable configuration; all
-// per-round state lives in the caller's RoundScratch (implementations with
-// internal transport sequencing use mutable members and document their
-// re-entrancy limits).
+// Methods are const: an engine is immutable configuration; all per-round
+// state lives in the caller's RoundScratch.
 #pragma once
 
 #include <vector>

@@ -6,9 +6,7 @@
 #include <stdexcept>
 
 #include "auction/payments.h"
-#include "auction/sharded_wdp.h"
 #include "auction/winner_determination.h"
-#include "dist/distributed_wdp.h"
 #include "util/require.h"
 
 namespace sfl::core {
@@ -22,22 +20,14 @@ using sfl::auction::RoundContext;
 using sfl::auction::RoundSettlement;
 using sfl::auction::ScoreWeights;
 using sfl::auction::RoundScratch;
-using sfl::auction::ShardedWdp;
 using sfl::auction::ShardedWdpConfig;
 using sfl::auction::WinnerSettlement;
 using sfl::util::require;
 
 LongTermOnlineVcgMechanism::LongTermOnlineVcgMechanism(const LtoVcgConfig& config)
-    : config_(config), budget_queue_(config.per_round_budget) {
-  if (config.dist_workers > 0) {
-    wdp_ = std::make_unique<sfl::dist::DistributedWdp>(
-        sfl::dist::DistributedWdpConfig{.shards = config.shards,
-                                        .workers = config.dist_workers,
-                                        .hedge = config.dist_hedge});
-  } else {
-    wdp_ = std::make_unique<ShardedWdp>(
-        ShardedWdpConfig{.shards = config.shards});
-  }
+    : config_(config),
+      budget_queue_(config.per_round_budget),
+      wdp_(ShardedWdpConfig{.shards = config.shards}) {
   require(config.v_weight > 0.0, "V weight must be > 0");
   require(config.per_round_budget > 0.0, "per-round budget must be > 0");
   if (!config.energy_rates.empty()) {
@@ -99,8 +89,8 @@ void LongTermOnlineVcgMechanism::run_round_into(const CandidateBatch& batch,
     // scratch — slate validated once, selection and payments share the
     // merged order, nothing allocates after warm-up.
     RoundScratch& round_scratch = scratch();
-    wdp_->run_round(batch, weights, context.max_winners,
-                    round_scratch.penalties, round_scratch);
+    wdp_.run_round(batch, weights, context.max_winners,
+                   round_scratch.penalties, round_scratch);
     fill_result(batch, round_scratch.allocation.selected,
                 round_scratch.payments, out);
     return;
@@ -112,8 +102,8 @@ void LongTermOnlineVcgMechanism::run_round_into(const CandidateBatch& batch,
   // (bit-identical payments at every lane count).
   RoundScratch& round_scratch = scratch();
   const Allocation& allocation =
-      wdp_->select_top_m(batch, weights, context.max_winners,
-                         round_scratch.penalties, round_scratch);
+      wdp_.select_top_m(batch, weights, context.max_winners,
+                        round_scratch.penalties, round_scratch);
   std::vector<Candidate>& slate = oracle_scratch_.aos;
   slate.clear();
   slate.reserve(batch.size());

@@ -21,29 +21,26 @@
 //      lazily-drained QueueBank applies every other queue's r_i drain on
 //      its next read — bit-identical to sweeping all of them each round.
 //
-// Steps 1-3 run on a WdpEngine against a (mechanism-owned or shared)
-// RoundScratch: the in-process ShardedWdp scores `shards` contiguous spans
-// of the CandidateBatch in parallel on the shared thread pool and merges
-// exactly (shards = 1 is the serial path, bit-identical to the span
-// solvers); with `dist_workers` > 0 the DistributedWdp coordinator ships
-// the same spans to shard workers over a ShardTransport instead — every
-// engine produces bit-identical allocations and payments. Steady-state
-// rounds through run_round_into perform zero heap allocations after
-// warm-up on the in-process engines.
+// Steps 1-3 run on the mechanism's ShardedWdp against a (mechanism-owned or
+// shared) RoundScratch: the engine scores `shards` contiguous spans of the
+// CandidateBatch in parallel on the shared thread pool and merges exactly
+// (shards = 1 is the serial path, bit-identical to the span solvers), so
+// every shard count produces bit-identical allocations and payments.
+// Steady-state rounds through run_round_into perform zero heap allocations
+// after warm-up.
 //
 // Lyapunov guarantees (verified empirically in E6): time-average welfare
 // within O(1/V) of the constrained optimum, queue backlog (and hence budget
 // violation transient) O(V).
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "auction/mechanism.h"
 #include "auction/round_scratch.h"
-#include "auction/wdp_engine.h"
+#include "auction/sharded_wdp.h"
 #include "lyapunov/virtual_queue.h"
 
 namespace sfl::core {
@@ -73,24 +70,10 @@ struct LtoVcgConfig {
   /// uses the constant per_round_budget.
   std::vector<double> budget_schedule{};
   /// WDP shard count: 1 = serial (default), 0 = auto (hardware
-  /// concurrency for the in-process engine, the worker count for the
-  /// distributed one), k > 1 = exactly k contiguous batch spans. Every
-  /// shard count produces bit-identical allocations and payments; sharding
-  /// only changes wall time.
+  /// concurrency), k > 1 = exactly k contiguous batch spans. Every shard
+  /// count produces bit-identical allocations and payments; sharding only
+  /// changes wall time.
   std::size_t shards = 1;
-  /// Distributed WDP: > 0 routes winner determination through the
-  /// DistributedWdp coordinator (src/dist) over an in-process loopback
-  /// transport with this many shard workers — requests and survivor sets
-  /// cross the real wire codec, results stay bit-identical to the
-  /// in-process engines. 0 keeps the ShardedWdp engine.
-  std::size_t dist_workers = 0;
-  /// Hedged dispatch with adaptive per-worker deadlines on the distributed
-  /// engine (see DistributedWdpConfig::hedge): laggard shards are
-  /// re-dispatched to the next live worker in rendezvous order before the
-  /// full receive timeout, first valid reply wins. Never changes results —
-  /// only tail latency under stragglers and churn. Ignored when
-  /// dist_workers == 0.
-  bool dist_hedge = true;
   /// Externally-owned round scratch shared across mechanisms (nullptr =
   /// the mechanism owns a private one). Sharing is safe for mechanisms
   /// whose rounds never run concurrently — the scratch carries no state
@@ -215,9 +198,8 @@ class LongTermOnlineVcgMechanism final : public sfl::auction::Mechanism {
                                              : scratch_;
   }
 
-  /// The WDP + payment engine: ShardedWdp in-process, DistributedWdp when
-  /// config.dist_workers > 0 (selected once at construction).
-  std::unique_ptr<sfl::auction::WdpEngine> wdp_;
+  /// The WDP + payment engine (config.shards contiguous spans).
+  sfl::auction::ShardedWdp wdp_;
   sfl::auction::RoundScratch scratch_;
   /// Leave-one-out buffers for the kVcgExternality payment rule (unused —
   /// and empty — under the critical-value rule).

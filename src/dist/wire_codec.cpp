@@ -1,10 +1,6 @@
 #include "dist/wire_codec.h"
 
-#include <algorithm>
 #include <bit>
-#include <cmath>
-#include <cstring>
-#include <vector>
 
 #include "dist/wire_format.h"
 
@@ -13,12 +9,6 @@ namespace sfl::dist {
 // --- shared frame-format primitives (dist/wire_format.h) --------------------
 
 namespace wire {
-
-void put_u32(Frame& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::byte>((v >> shift) & 0xFF));
-  }
-}
 
 void put_u64(Frame& out, std::uint64_t v) {
   for (int shift = 0; shift < 64; shift += 8) {
@@ -155,15 +145,7 @@ std::pair<FrameType, std::span<const std::byte>> checked_payload(
 
 }  // namespace wire
 
-// --- shard protocol codec ---------------------------------------------------
-
-using wire::begin_frame;
-using wire::checked_payload;
-using wire::Cursor;
-using wire::finish_frame;
-using wire::put_f64;
-using wire::put_u32;
-using wire::put_u64;
+// --- envelope ---------------------------------------------------------------
 
 std::uint64_t fnv1a64(std::span<const std::byte> bytes) noexcept {
   std::uint64_t hash = 0xcbf29ce484222325ull;
@@ -174,177 +156,8 @@ std::uint64_t fnv1a64(std::span<const std::byte> bytes) noexcept {
   return hash;
 }
 
-void encode(const ShardRequest& request, Frame& out) {
-  begin_frame(out);
-  put_u64(out, request.round);
-  put_u32(out, request.shard);
-  put_u32(out, request.shard_count);
-  put_u64(out, request.begin);
-  put_u64(out, request.max_winners);
-  put_f64(out, request.weights.value_weight);
-  put_f64(out, request.weights.bid_weight);
-  put_u64(out, request.ids.size());
-  put_u64(out, request.penalties.empty() ? 0 : 1);
-  for (const std::uint64_t id : request.ids) put_u64(out, id);
-  for (const double v : request.values) put_f64(out, v);
-  for (const double b : request.bids) put_f64(out, b);
-  for (const double p : request.penalties) put_f64(out, p);
-  finish_frame(out, FrameType::kRequest);
-}
-
-void encode(const ShardReply& reply, Frame& out) {
-  begin_frame(out);
-  put_u64(out, reply.round);
-  put_u32(out, reply.shard);
-  put_u32(out, reply.shard_count);
-  put_u64(out, reply.begin);
-  put_u64(out, reply.count);
-  put_u64(out, reply.survivors.size());
-  for (const SurvivorEntry& entry : reply.survivors) {
-    put_u64(out, entry.index);
-    put_f64(out, entry.score);
-  }
-  finish_frame(out, FrameType::kReply);
-}
-
-void encode(const WorkerHello& hello, Frame& out) {
-  begin_frame(out);
-  put_u64(out, hello.worker);
-  finish_frame(out, FrameType::kWorkerHello);
-}
-
-void encode(const WorkerGoodbye& goodbye, Frame& out) {
-  begin_frame(out);
-  put_u64(out, goodbye.worker);
-  finish_frame(out, FrameType::kWorkerGoodbye);
-}
-
 FrameType checked_frame_type(std::span<const std::byte> frame) {
-  return checked_payload(frame).first;
-}
-
-void decode(std::span<const std::byte> frame, ShardRequest& out) {
-  const auto [type, payload] = checked_payload(frame);
-  if (type != FrameType::kRequest) {
-    throw WireError("wire: expected a request frame");
-  }
-  Cursor cursor(payload);
-  out.round = cursor.u64();
-  out.shard = cursor.u32();
-  out.shard_count = cursor.u32();
-  out.begin = cursor.u64();
-  out.max_winners = cursor.u64();
-  out.weights.value_weight = cursor.f64();
-  out.weights.bid_weight = cursor.f64();
-  const std::uint64_t span = cursor.u64();
-  const std::uint64_t has_penalties = cursor.u64();
-  if (has_penalties > 1) throw WireError("wire: bad penalties flag");
-  cursor.u64_array(out.ids, span);
-  cursor.f64_array(out.values, span);
-  cursor.f64_array(out.bids, span);
-  if (has_penalties == 1) {
-    cursor.f64_array(out.penalties, span);
-  } else {
-    out.penalties.clear();
-  }
-  cursor.expect_exhausted();
-
-  // Semantic validation: a frame that parses but describes an impossible
-  // shard is still corrupt — reject it rather than hand the engine a span
-  // it cannot have dispatched.
-  if (out.shard_count == 0 || out.shard >= out.shard_count) {
-    throw WireError("wire: shard index outside shard count");
-  }
-  if (out.begin > kMaxPayloadBytes || span > kMaxPayloadBytes) {
-    throw WireError("wire: span bounds out of range");
-  }
-  if (!std::isfinite(out.weights.value_weight) ||
-      !std::isfinite(out.weights.bid_weight)) {
-    throw WireError("wire: non-finite score weights");
-  }
-}
-
-void decode(std::span<const std::byte> frame, ShardReply& out) {
-  const auto [type, payload] = checked_payload(frame);
-  if (type != FrameType::kReply) {
-    throw WireError("wire: expected a reply frame");
-  }
-  Cursor cursor(payload);
-  out.round = cursor.u64();
-  out.shard = cursor.u32();
-  out.shard_count = cursor.u32();
-  out.begin = cursor.u64();
-  out.count = cursor.u64();
-  const std::uint64_t survivor_count = cursor.u64();
-  cursor.require_elems(survivor_count, 16);
-  out.survivors.resize(survivor_count);
-  for (SurvivorEntry& entry : out.survivors) {
-    entry.index = cursor.u64();
-    entry.score = cursor.f64();
-  }
-  cursor.expect_exhausted();
-
-  if (out.shard_count == 0 || out.shard >= out.shard_count) {
-    throw WireError("wire: shard index outside shard count");
-  }
-  if (out.count > kMaxPayloadBytes || out.begin > kMaxPayloadBytes) {
-    throw WireError("wire: span bounds out of range");
-  }
-  if (survivor_count > out.count) {
-    throw WireError("wire: more survivors than span rows");
-  }
-  for (const SurvivorEntry& entry : out.survivors) {
-    if (entry.index < out.begin || entry.index >= out.begin + out.count) {
-      throw WireError("wire: survivor index outside the declared span");
-    }
-    if (!std::isfinite(entry.score)) {
-      throw WireError("wire: non-finite survivor score");
-    }
-  }
-  // Duplicate detection in O(k log k): a checksummed hostile frame can
-  // carry millions of entries, so a quadratic scan here would be a
-  // denial-of-service on the coordinator.
-  std::vector<std::uint64_t> indices;
-  indices.reserve(out.survivors.size());
-  for (const SurvivorEntry& entry : out.survivors) {
-    indices.push_back(entry.index);
-  }
-  std::sort(indices.begin(), indices.end());
-  if (std::adjacent_find(indices.begin(), indices.end()) != indices.end()) {
-    throw WireError("wire: duplicate survivor index");
-  }
-}
-
-void decode(std::span<const std::byte> frame, WorkerHello& out) {
-  const auto [type, payload] = checked_payload(frame);
-  if (type != FrameType::kWorkerHello) {
-    throw WireError("wire: expected a hello frame");
-  }
-  Cursor cursor(payload);
-  out.worker = cursor.u64();
-  cursor.expect_exhausted();
-}
-
-void decode(std::span<const std::byte> frame, WorkerGoodbye& out) {
-  const auto [type, payload] = checked_payload(frame);
-  if (type != FrameType::kWorkerGoodbye) {
-    throw WireError("wire: expected a goodbye frame");
-  }
-  Cursor cursor(payload);
-  out.worker = cursor.u64();
-  cursor.expect_exhausted();
-}
-
-ShardRequest decode_request(std::span<const std::byte> frame) {
-  ShardRequest request;
-  decode(frame, request);
-  return request;
-}
-
-ShardReply decode_reply(std::span<const std::byte> frame) {
-  ShardReply reply;
-  decode(frame, reply);
-  return reply;
+  return wire::checked_payload(frame).first;
 }
 
 }  // namespace sfl::dist

@@ -1,20 +1,10 @@
-// Compact binary wire codec for the distributed WDP protocol.
+// The SFLD frame envelope shared by every protocol message.
 //
-// Two message kinds cross the coordinator <-> shard-worker boundary:
-//   ShardRequest  — one contiguous CandidateBatch span (ids, values, bids,
-//                   optional penalties) plus the round's scoring parameters;
-//   ShardReply    — the shard's local top-(m+1) survivor set as
-//                   (global index, score) pairs.
-//
-// Two more carry elastic-membership announcements in the worker ->
-// coordinator direction:
-//   WorkerHello   — a worker (re)joining the fleet between rounds;
-//   WorkerGoodbye — a planned drain: finish in-flight replies, then leave.
-//
-// The same envelope also carries the auction-service RPC messages
-// (SubmitBids / RoundResult / SettlementAck — see src/service/rpc_messages);
-// their FrameType values live here so one type byte names every protocol
-// message, and the shared envelope helpers live in dist/wire_format.h.
+// The auction-service RPC messages (SubmitBids / RoundResult /
+// SettlementAck / ServerHello — see src/service/rpc_messages) travel in
+// this envelope; their FrameType values live here so one type byte names
+// every protocol message, and the shared writer/cursor/envelope helpers
+// live in dist/wire_format.h.
 //
 // Frame layout (all integers little-endian, doubles as IEEE-754 bit
 // patterns, so a frame round-trips bit-exactly across hosts):
@@ -23,12 +13,12 @@
 //   [u64 payload_len]  [u64 checksum = fnv1a64(payload)]
 //   [payload_len payload bytes]
 //
-// Decoding is defensive end to end: the header is bounds/magic/version
+// Decoding is defensive end to end: the header is bounds/magic/version/type
 // checked, the checksum must match BEFORE any payload field is read, and
 // every payload read goes through a cursor that rejects overruns — a
 // corrupt or truncated frame throws WireError (a typed error), never
 // crashes, and is never accepted. The codec fuzz suite
-// (tests/dist/codec_fuzz_test.cpp) hammers exactly this contract with
+// (tests/service/codec_fuzz_test.cpp) hammers exactly this contract with
 // seeded random byte mutations.
 #pragma once
 
@@ -36,10 +26,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
-#include <string>
 #include <vector>
-
-#include "auction/types.h"
 
 namespace sfl::dist {
 
@@ -58,113 +45,40 @@ inline constexpr std::uint8_t kWireVersion = 1;
 inline constexpr std::size_t kHeaderSize = 24;
 /// Upper bound a receiver enforces on payload_len before allocating —
 /// rejects absurd lengths from corrupt headers (1 GiB is far above any
-/// legitimate shard span).
+/// legitimate service frame).
 inline constexpr std::uint64_t kMaxPayloadBytes = 1ull << 30;
 
+/// Type bytes 1, 2, 6 and 7 belonged to a retired shard protocol; they stay
+/// unassigned so a frame from an old peer is rejected, never misread.
 enum class FrameType : std::uint8_t {
-  // Distributed-WDP shard protocol (this file).
-  kRequest = 1,
-  kReply = 2,
   // Auction-service RPC layer (src/service/rpc_messages).
   kSubmitBids = 3,
   kRoundResult = 4,
   kSettlementAck = 5,
-  // Elastic-membership announcements (worker -> coordinator).
-  kWorkerHello = 6,
-  kWorkerGoodbye = 7,
   // Auction-service config echo (server -> client, once per connection):
   // the round-geometry knobs both sides must agree on, so a mismatched
   // client can fail fast instead of waiting on rounds that never clear.
   kServerHello = 8,
 };
 
-/// True for a type byte naming any known protocol message (shard protocol,
-/// service RPC, or membership); the envelope validator rejects everything
-/// else.
+/// True for a type byte naming a known protocol message; the envelope
+/// validator rejects everything else.
 [[nodiscard]] constexpr bool frame_type_known(std::uint8_t raw) noexcept {
-  return raw >= static_cast<std::uint8_t>(FrameType::kRequest) &&
-         raw <= static_cast<std::uint8_t>(FrameType::kServerHello);
+  switch (static_cast<FrameType>(raw)) {
+    case FrameType::kSubmitBids:
+    case FrameType::kRoundResult:
+    case FrameType::kSettlementAck:
+    case FrameType::kServerHello:
+      return true;
+  }
+  return false;
 }
 
 /// FNV-1a 64-bit over the payload; the frame's integrity check.
 [[nodiscard]] std::uint64_t fnv1a64(std::span<const std::byte> bytes) noexcept;
 
-/// One contiguous batch span dispatched to a shard worker, plus everything
-/// the worker needs to score and locally select it.
-struct ShardRequest {
-  std::uint64_t round = 0;        ///< coordinator round sequence number
-  std::uint32_t shard = 0;        ///< shard index in [0, shard_count)
-  std::uint32_t shard_count = 1;  ///< total shards this round
-  std::uint64_t begin = 0;        ///< global index of the span's first row
-  std::uint64_t max_winners = 0;  ///< m: the worker keeps min(m+1, span)
-  sfl::auction::ScoreWeights weights{};
-  /// Parallel arrays, one entry per span row (ids for the tie-break,
-  /// penalties empty = all-zero).
-  std::vector<std::uint64_t> ids;
-  std::vector<double> values;
-  std::vector<double> bids;
-  std::vector<double> penalties;
-
-  [[nodiscard]] std::size_t span() const noexcept { return ids.size(); }
-};
-
-/// One survivor: its global batch index and its score (the exact IEEE
-/// double the worker computed — shipped as bits, so the coordinator's merge
-/// is bit-identical to the single-process engine).
-struct SurvivorEntry {
-  std::uint64_t index = 0;
-  double score = 0.0;
-
-  friend bool operator==(const SurvivorEntry&, const SurvivorEntry&) = default;
-};
-
-/// A shard worker's local top-(m+1) survivor set.
-struct ShardReply {
-  std::uint64_t round = 0;
-  std::uint32_t shard = 0;
-  std::uint32_t shard_count = 1;
-  std::uint64_t begin = 0;  ///< span covered (echoed for validation)
-  std::uint64_t count = 0;  ///< span length covered
-  std::vector<SurvivorEntry> survivors;
-};
-
-/// A worker announcing itself available (sent on join / restart). `worker`
-/// is the sender's self-reported slot identity; coordinators prefer the
-/// transport's own source attribution (ShardTransport::receive_source) and
-/// treat this field as the fallback.
-struct WorkerHello {
-  std::uint64_t worker = 0;
-};
-
-/// A worker announcing a planned drain: it finishes in-flight replies, then
-/// stops serving. Distinct from a fault — the coordinator stops routing to
-/// the worker without charging recovery machinery.
-struct WorkerGoodbye {
-  std::uint64_t worker = 0;
-};
-
-/// Encodes into `out` (cleared first; capacity reused across rounds).
-void encode(const ShardRequest& request, Frame& out);
-void encode(const ShardReply& reply, Frame& out);
-void encode(const WorkerHello& hello, Frame& out);
-void encode(const WorkerGoodbye& goodbye, Frame& out);
-
 /// Validates the header (size, magic, version, payload length, checksum)
 /// and returns the frame type. Throws WireError on any violation.
 [[nodiscard]] FrameType checked_frame_type(std::span<const std::byte> frame);
-
-/// Full decode with structural validation (shard < shard_count, array
-/// lengths consistent with payload_len, survivor indices inside the
-/// declared span and strictly increasing-free of duplicates, finite
-/// scores). Throws WireError; `out` may be left partially written on
-/// failure and must not be read.
-void decode(std::span<const std::byte> frame, ShardRequest& out);
-void decode(std::span<const std::byte> frame, ShardReply& out);
-void decode(std::span<const std::byte> frame, WorkerHello& out);
-void decode(std::span<const std::byte> frame, WorkerGoodbye& out);
-
-/// Allocating conveniences.
-[[nodiscard]] ShardRequest decode_request(std::span<const std::byte> frame);
-[[nodiscard]] ShardReply decode_reply(std::span<const std::byte> frame);
 
 }  // namespace sfl::dist

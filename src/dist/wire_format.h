@@ -1,17 +1,18 @@
 // Shared building blocks of the SFLD frame format.
 //
-// The wire codec (src/dist/wire_codec) and the service RPC layer
-// (src/service/rpc_messages) speak the same envelope:
+// The service RPC layer (src/service/rpc_messages) speaks the envelope
+// declared in dist/wire_codec.h:
 //
 //   [u32 magic "SFLD"] [u8 version] [u8 type] [u16 reserved=0]
 //   [u64 payload_len]  [u64 checksum = fnv1a64(payload)]
 //   [payload_len payload bytes]
 //
-// This header owns the primitives both codecs build on: the little-endian
-// writers, the bounds-checked payload Cursor, and the begin/finish/validate
-// envelope helpers. Everything here preserves the defensive-decoding
-// contract — a reader can never run past a truncated or length-corrupted
-// buffer, and no payload field is interpreted before the checksum matched.
+// This header owns the primitives the message codecs build on: the
+// little-endian writers, the bounds-checked payload Cursor, and the
+// begin/finish/validate envelope helpers. Everything here preserves the
+// defensive-decoding contract — a reader can never run past a truncated or
+// length-corrupted buffer, and no payload field is interpreted before the
+// checksum matched.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +27,6 @@ namespace sfl::dist::wire {
 
 // --- little-endian writers --------------------------------------------------
 
-void put_u32(Frame& out, std::uint32_t v);
 void put_u64(Frame& out, std::uint64_t v);
 void put_f64(Frame& out, double v);
 

@@ -2,8 +2,8 @@
 //
 // The auction server reads whatever the kernel has for a connection and
 // feeds it here; the assembler buffers until a complete frame is available
-// and hands frames out one at a time. This is the PR-4 bounded-read
-// discipline restated for a non-blocking poll loop:
+// and hands frames out one at a time, under a bounded-read discipline for a
+// non-blocking poll loop:
 //
 //   - the header's magic/version/type are checked the moment 24 bytes are
 //     buffered — a stream that opens with garbage is condemned before its
@@ -15,8 +15,7 @@
 //     just holds a tiny buffer open and can never stall another connection.
 //
 // A condemned assembler stays condemned: a stream with a corrupt header can
-// never be re-synchronized (the PR-4 rule), so the owner must drop the
-// connection.
+// never be re-synchronized, so the owner must drop the connection.
 #pragma once
 
 #include <cstddef>

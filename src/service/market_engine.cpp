@@ -61,7 +61,6 @@ sfl::auction::MechanismConfig to_mechanism_config(
   mc.seed = config.seed;
   mc.lto.v_weight = config.v_weight;
   mc.lto.pacing_rate = 0.0;
-  mc.lto.dist_workers = config.dist_workers;
   return mc;
 }
 

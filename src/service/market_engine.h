@@ -39,8 +39,6 @@ struct MarketEngineConfig {
   std::size_t max_winners = 8;   ///< m
   double per_round_budget = 6.0;  ///< B-bar
   double v_weight = 10.0;         ///< Lyapunov V
-  /// Shard workers for the lto-vcg-dist* keys (0 = the key's default).
-  std::size_t dist_workers = 0;
   /// Seed for randomized rules (random-stipend).
   std::uint64_t seed = 42;
 };

@@ -17,9 +17,9 @@
 // semantics (finite non-negative economics, energy > 0, no duplicate
 // (market, round) rows or winner clients, counts bounded by the payload) —
 // every violation throws the typed WireError, never crashes, and is never
-// accepted. The codec fuzz suite (tests/dist/codec_fuzz_test) sweeps these
-// three types with the same mutation/truncation/garbage battery as the
-// shard protocol.
+// accepted. The codec fuzz suite (tests/service/codec_fuzz_test) sweeps
+// every message type with a round-trip, type-confusion, mutation,
+// truncation and garbage battery.
 #pragma once
 
 #include <cstddef>

@@ -40,10 +40,10 @@ class ThreadPool {
   /// `total` items covers [c*total/chunks, (c+1)*total/chunks). Contiguous,
   /// exhaustive, and a pure function of (total, chunks, c) — so a sharded
   /// computation's work assignment never depends on thread scheduling.
-  /// This layout is a PROTOCOL constant, not a tuning knob: the distributed
-  /// WDP coordinator (src/dist) validates every shard worker's reply
-  /// against it, so changing the formula is a wire-compatibility break
-  /// between coordinator and worker builds.
+  /// With chunks == total each chunk is exactly one item, which the pooled
+  /// FL trainer relies on. ShardedWdp's spans and the parallel oracles'
+  /// lanes are cut with it too, and their results are bit-identical under
+  /// any such contiguous, exhaustive layout.
   [[nodiscard]] static std::pair<std::size_t, std::size_t> chunk_range(
       std::size_t total, std::size_t chunks, std::size_t chunk) noexcept;
 

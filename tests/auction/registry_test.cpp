@@ -24,8 +24,7 @@ MechanismConfig small_config() {
 TEST(MechanismRegistryTest, ListsAllBuiltins) {
   const auto& registry = MechanismRegistry::global();
   const std::vector<std::string> expected{
-      "lto-vcg",        "lto-vcg-sharded",  "lto-vcg-dist",
-      "lto-vcg-dist-hedge", "lto-vcg-unpaced",
+      "lto-vcg",        "lto-vcg-sharded",  "lto-vcg-unpaced",
       "myopic-vcg",     "pay-as-bid",       "fixed-price",
       "adaptive-price", "random-stipend",   "proportional-share",
       "first-best-oracle", "budgeted-oracle", "budgeted-oracle-par",
@@ -51,9 +50,7 @@ TEST(MechanismRegistryTest, ListsAllBuiltins) {
   for (const MechanismInfo& info : registry.describe()) {
     if (info.variant_of == "lto-vcg") lto_variants.push_back(info.name);
   }
-  EXPECT_EQ(lto_variants,
-            (std::vector<std::string>{"lto-vcg-sharded", "lto-vcg-dist",
-                                      "lto-vcg-dist-hedge"}));
+  EXPECT_EQ(lto_variants, (std::vector<std::string>{"lto-vcg-sharded"}));
   // The parallel-oracle keys are tagged as execution variants of their
   // serial canonicals, so the generic variant-equality sweep covers them
   // with no hand-maintained list.
@@ -67,41 +64,6 @@ TEST(MechanismRegistryTest, ListsAllBuiltins) {
             (std::vector<std::string>{"budgeted-oracle-par->budgeted-oracle",
                                       "greedy-concave-par->greedy-concave",
                                       "myopic-vcg-ext-par->myopic-vcg-ext"}));
-}
-
-TEST(MechanismRegistryTest, HedgeKnobReachesTheDistributedKeys) {
-  MechanismConfig config = small_config();
-  config.lto.dist_workers = 3;
-
-  // The distributed keys hedge by default and honor the knob.
-  {
-    const auto mechanism = build_mechanism("lto-vcg-dist", config);
-    auto* lto =
-        dynamic_cast<core::LongTermOnlineVcgMechanism*>(mechanism.get());
-    ASSERT_NE(lto, nullptr);
-    EXPECT_TRUE(lto->config().dist_hedge);
-  }
-  {
-    config.lto.hedge = false;
-    const auto mechanism = build_mechanism("lto-vcg-dist", config);
-    auto* lto =
-        dynamic_cast<core::LongTermOnlineVcgMechanism*>(mechanism.get());
-    ASSERT_NE(lto, nullptr);
-    EXPECT_FALSE(lto->config().dist_hedge);
-  }
-
-  // The dedicated key forces hedging on regardless of the knob and
-  // defaults to a 4-worker fleet.
-  {
-    config.lto.dist_workers = 0;
-    config.lto.hedge = false;
-    const auto mechanism = build_mechanism("lto-vcg-dist-hedge", config);
-    auto* lto =
-        dynamic_cast<core::LongTermOnlineVcgMechanism*>(mechanism.get());
-    ASSERT_NE(lto, nullptr);
-    EXPECT_TRUE(lto->config().dist_hedge);
-    EXPECT_EQ(lto->config().dist_workers, 4u);
-  }
 }
 
 TEST(MechanismRegistryTest, RoundTripOverEveryRegisteredName) {

@@ -1,23 +1,21 @@
-// Wire-codec round-trip + fuzz suite.
+// Service wire-codec round-trip + fuzz suite.
 //
-// Round-trip: randomly generated frames of every wire type — the shard
-// protocol's requests/replies, the service RPC types (SubmitBids,
-// RoundResult, SettlementAck), and the membership announcements
-// (WorkerHello, WorkerGoodbye) — must encode/decode to bit-identical
-// structures (doubles compared as bit patterns).
+// Round-trip: randomly generated frames of every service RPC type
+// (SubmitBids, RoundResult, SettlementAck, ServerHello) must encode/decode
+// to bit-identical structures (doubles compared as bit patterns).
 //
 // Fuzz: seeded random byte mutations of valid frames, truncations at every
 // boundary class, type-confused decodes, and pure-garbage buffers must
 // NEVER crash and NEVER be accepted — every corrupt input throws the typed
 // WireError (length/magic/checksum/structural validation). The sweeps draw
-// uniformly from all seven frame kinds.
+// uniformly from all four frame kinds.
 //
 // Reproducing failures: every trial logs its seed; run
 //   <binary> --seed=N
 // to replay exactly that generated frame and its mutations. Failing seeds
 // are appended to codec_fuzz_failure_seeds.txt (CI artifact), same
-// protocol as the PR-3 property harness. SFL_FUZZ_TRIALS overrides the
-// trial count (default 1500).
+// protocol as the property harness. SFL_FUZZ_TRIALS overrides the trial
+// count (default 1500).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -28,13 +26,15 @@
 #include <string>
 #include <vector>
 
-#include "dist/shard_worker.h"
 #include "dist/wire_codec.h"
 #include "service/rpc_messages.h"
 #include "util/rng.h"
 
-namespace sfl::dist {
+namespace sfl::service {
 namespace {
+
+using sfl::dist::checked_frame_type;
+using sfl::dist::FrameType;
 
 std::optional<std::uint64_t> g_fixed_seed;  // --seed=N
 std::vector<std::uint64_t> g_failed_seeds;  // written to the artifact
@@ -63,38 +63,8 @@ void record_failure(std::uint64_t seed) {
 // Frame generators.
 // ---------------------------------------------------------------------------
 
-ShardRequest make_request(sfl::util::Rng& rng) {
-  ShardRequest request;
-  request.round = rng();
-  request.shard_count = 1 + static_cast<std::uint32_t>(rng.uniform_index(16));
-  request.shard =
-      static_cast<std::uint32_t>(rng.uniform_index(request.shard_count));
-  request.begin = rng.uniform_index(1 << 20);
-  request.max_winners = rng.uniform_index(64);
-  request.weights.value_weight = rng.uniform(0.0, 20.0);
-  request.weights.bid_weight = rng.uniform(0.1, 20.0);
-  const std::size_t span = rng.uniform_index(65);  // 0..64 rows
-  const bool with_penalties = rng.bernoulli(0.5);
-  for (std::size_t i = 0; i < span; ++i) {
-    request.ids.push_back(rng.uniform_index(1000));
-    request.values.push_back(rng.uniform(0.0, 5.0));
-    request.bids.push_back(rng.uniform(0.0, 3.0));
-    if (with_penalties) request.penalties.push_back(rng.uniform(0.0, 4.0));
-  }
-  return request;
-}
-
-ShardReply make_reply(sfl::util::Rng& rng) {
-  // Built through the real worker so the reply is always semantically
-  // valid (survivor count/index invariants hold by construction).
-  const ShardRequest request = make_request(rng);
-  ShardReply reply;
-  compute_survivors(request, reply);
-  return reply;
-}
-
-sfl::service::SubmitBids make_submit_bids(sfl::util::Rng& rng) {
-  sfl::service::SubmitBids msg;
+SubmitBids make_submit_bids(sfl::util::Rng& rng) {
+  SubmitBids msg;
   msg.client = rng.uniform_index(100'000);
   const std::size_t rows = rng.uniform_index(33);  // 0..32 rows
   for (std::size_t i = 0; i < rows; ++i) {
@@ -109,8 +79,8 @@ sfl::service::SubmitBids make_submit_bids(sfl::util::Rng& rng) {
   return msg;
 }
 
-sfl::service::RoundResult make_round_result(sfl::util::Rng& rng) {
-  sfl::service::RoundResult msg;
+RoundResult make_round_result(sfl::util::Rng& rng) {
+  RoundResult msg;
   msg.market = rng.uniform_index(64);
   msg.round = rng.uniform_index(1'000);
   const std::size_t winners = rng.uniform_index(17);  // 0..16 winners
@@ -122,8 +92,8 @@ sfl::service::RoundResult make_round_result(sfl::util::Rng& rng) {
   return msg;
 }
 
-sfl::service::SettlementAck make_settlement_ack(sfl::util::Rng& rng) {
-  sfl::service::SettlementAck msg;
+SettlementAck make_settlement_ack(sfl::util::Rng& rng) {
+  SettlementAck msg;
   msg.market = rng.uniform_index(64);
   msg.round = rng.uniform_index(1'000);
   msg.total_payment = rng.uniform(0.0, 40.0);
@@ -131,14 +101,14 @@ sfl::service::SettlementAck make_settlement_ack(sfl::util::Rng& rng) {
   return msg;
 }
 
-sfl::service::ServerHello make_server_hello(sfl::util::Rng& rng) {
-  sfl::service::ServerHello msg;
+ServerHello make_server_hello(sfl::util::Rng& rng) {
+  ServerHello msg;
   msg.bids_per_round = 1 + rng.uniform_index(64);
   msg.max_winners = 1 + rng.uniform_index(16);
   msg.max_pending_rounds = 1 + rng.uniform_index(32);
   // Printable-ASCII mechanism keys up to the wire cap, empty included.
   const std::size_t key_len =
-      rng.uniform_index(sfl::service::kMaxMechanismKeyBytes + 1);
+      rng.uniform_index(kMaxMechanismKeyBytes + 1);
   for (std::size_t i = 0; i < key_len; ++i) {
     msg.mechanism.push_back(
         static_cast<char>(0x20 + rng.uniform_index(0x7f - 0x20)));
@@ -146,39 +116,8 @@ sfl::service::ServerHello make_server_hello(sfl::util::Rng& rng) {
   return msg;
 }
 
-WorkerHello make_worker_hello(sfl::util::Rng& rng) {
-  return WorkerHello{.worker = rng()};
-}
-
-WorkerGoodbye make_worker_goodbye(sfl::util::Rng& rng) {
-  return WorkerGoodbye{.worker = rng()};
-}
-
 bool bits_equal(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-void expect_request_roundtrip(const ShardRequest& request,
-                              const ShardRequest& decoded) {
-  EXPECT_EQ(request.round, decoded.round);
-  EXPECT_EQ(request.shard, decoded.shard);
-  EXPECT_EQ(request.shard_count, decoded.shard_count);
-  EXPECT_EQ(request.begin, decoded.begin);
-  EXPECT_EQ(request.max_winners, decoded.max_winners);
-  EXPECT_TRUE(bits_equal(request.weights.value_weight,
-                         decoded.weights.value_weight));
-  EXPECT_TRUE(
-      bits_equal(request.weights.bid_weight, decoded.weights.bid_weight));
-  EXPECT_EQ(request.ids, decoded.ids);
-  ASSERT_EQ(request.values.size(), decoded.values.size());
-  for (std::size_t i = 0; i < request.values.size(); ++i) {
-    EXPECT_TRUE(bits_equal(request.values[i], decoded.values[i])) << i;
-    EXPECT_TRUE(bits_equal(request.bids[i], decoded.bids[i])) << i;
-  }
-  ASSERT_EQ(request.penalties.size(), decoded.penalties.size());
-  for (std::size_t i = 0; i < request.penalties.size(); ++i) {
-    EXPECT_TRUE(bits_equal(request.penalties[i], decoded.penalties[i])) << i;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -190,43 +129,13 @@ void expect_request_roundtrip(const ShardRequest& request,
 // loop's record_failure(seed) tail ALWAYS runs, keeping the seed artifact
 // truthful on red runs.
 
-void run_request_roundtrip_trial(std::uint64_t seed) {
-  sfl::util::Rng rng(seed ^ 0xc0decULL);
-  const ShardRequest request = make_request(rng);
-  Frame frame;
-  encode(request, frame);
-  ASSERT_EQ(checked_frame_type(frame), FrameType::kRequest);
-  expect_request_roundtrip(request, decode_request(frame));
-}
-
-void run_reply_roundtrip_trial(std::uint64_t seed) {
-  sfl::util::Rng rng(seed ^ 0xf00dULL);
-  const ShardReply reply = make_reply(rng);
-  Frame frame;
-  encode(reply, frame);
-  ASSERT_EQ(checked_frame_type(frame), FrameType::kReply);
-  const ShardReply decoded = decode_reply(frame);
-  EXPECT_EQ(reply.round, decoded.round);
-  EXPECT_EQ(reply.shard, decoded.shard);
-  EXPECT_EQ(reply.shard_count, decoded.shard_count);
-  EXPECT_EQ(reply.begin, decoded.begin);
-  EXPECT_EQ(reply.count, decoded.count);
-  ASSERT_EQ(reply.survivors.size(), decoded.survivors.size());
-  for (std::size_t i = 0; i < reply.survivors.size(); ++i) {
-    EXPECT_EQ(reply.survivors[i].index, decoded.survivors[i].index) << i;
-    EXPECT_TRUE(
-        bits_equal(reply.survivors[i].score, decoded.survivors[i].score))
-        << i;
-  }
-}
-
 void run_submit_bids_roundtrip_trial(std::uint64_t seed) {
   sfl::util::Rng rng(seed ^ 0xb1d5ULL);
-  const sfl::service::SubmitBids message = make_submit_bids(rng);
+  const SubmitBids message = make_submit_bids(rng);
   Frame frame;
   encode(message, frame);
   ASSERT_EQ(checked_frame_type(frame), FrameType::kSubmitBids);
-  sfl::service::SubmitBids decoded;
+  SubmitBids decoded;
   decode(frame, decoded);
   EXPECT_EQ(message.client, decoded.client);
   EXPECT_EQ(message.markets, decoded.markets);
@@ -242,11 +151,11 @@ void run_submit_bids_roundtrip_trial(std::uint64_t seed) {
 
 void run_round_result_roundtrip_trial(std::uint64_t seed) {
   sfl::util::Rng rng(seed ^ 0x5e55ULL);
-  const sfl::service::RoundResult message = make_round_result(rng);
+  const RoundResult message = make_round_result(rng);
   Frame frame;
   encode(message, frame);
   ASSERT_EQ(checked_frame_type(frame), FrameType::kRoundResult);
-  sfl::service::RoundResult decoded;
+  RoundResult decoded;
   decode(frame, decoded);
   EXPECT_EQ(message.market, decoded.market);
   EXPECT_EQ(message.round, decoded.round);
@@ -259,11 +168,11 @@ void run_round_result_roundtrip_trial(std::uint64_t seed) {
 
 void run_settlement_ack_roundtrip_trial(std::uint64_t seed) {
   sfl::util::Rng rng(seed ^ 0xac4eULL);
-  const sfl::service::SettlementAck message = make_settlement_ack(rng);
+  const SettlementAck message = make_settlement_ack(rng);
   Frame frame;
   encode(message, frame);
   ASSERT_EQ(checked_frame_type(frame), FrameType::kSettlementAck);
-  sfl::service::SettlementAck decoded;
+  SettlementAck decoded;
   decode(frame, decoded);
   EXPECT_EQ(message.market, decoded.market);
   EXPECT_EQ(message.round, decoded.round);
@@ -273,11 +182,11 @@ void run_settlement_ack_roundtrip_trial(std::uint64_t seed) {
 
 void run_server_hello_roundtrip_trial(std::uint64_t seed) {
   sfl::util::Rng rng(seed ^ 0x5e77ULL);
-  const sfl::service::ServerHello message = make_server_hello(rng);
+  const ServerHello message = make_server_hello(rng);
   Frame frame;
   encode(message, frame);
   ASSERT_EQ(checked_frame_type(frame), FrameType::kServerHello);
-  sfl::service::ServerHello decoded;
+  ServerHello decoded;
   decode(frame, decoded);
   EXPECT_EQ(message.bids_per_round, decoded.bids_per_round);
   EXPECT_EQ(message.max_winners, decoded.max_winners);
@@ -285,28 +194,10 @@ void run_server_hello_roundtrip_trial(std::uint64_t seed) {
   EXPECT_EQ(message.mechanism, decoded.mechanism);
 }
 
-void run_membership_roundtrip_trial(std::uint64_t seed) {
-  sfl::util::Rng rng(seed ^ 0x4e110ULL);
-  const WorkerHello hello = make_worker_hello(rng);
-  Frame frame;
-  encode(hello, frame);
-  ASSERT_EQ(checked_frame_type(frame), FrameType::kWorkerHello);
-  WorkerHello hello_decoded;
-  decode(frame, hello_decoded);
-  EXPECT_EQ(hello.worker, hello_decoded.worker);
-
-  const WorkerGoodbye goodbye = make_worker_goodbye(rng);
-  encode(goodbye, frame);
-  ASSERT_EQ(checked_frame_type(frame), FrameType::kWorkerGoodbye);
-  WorkerGoodbye goodbye_decoded;
-  decode(frame, goodbye_decoded);
-  EXPECT_EQ(goodbye.worker, goodbye_decoded.worker);
-}
-
 void run_roundtrip_loop(void (*trial)(std::uint64_t)) {
   for (std::size_t t = 0; t < fuzz_trials(); ++t) {
     const std::uint64_t seed = trial_seed(t);
-    SCOPED_TRACE("repro: dist_codec_fuzz_test --seed=" +
+    SCOPED_TRACE("repro: service_codec_fuzz_test --seed=" +
                  std::to_string(seed));
     const bool failed_before = ::testing::Test::HasFailure();
     try {
@@ -321,14 +212,6 @@ void run_roundtrip_loop(void (*trial)(std::uint64_t)) {
   }
 }
 
-TEST(CodecRoundTripTest, RequestsSurviveEncodeDecodeBitExactly) {
-  run_roundtrip_loop(&run_request_roundtrip_trial);
-}
-
-TEST(CodecRoundTripTest, RepliesSurviveEncodeDecodeBitExactly) {
-  run_roundtrip_loop(&run_reply_roundtrip_trial);
-}
-
 TEST(CodecRoundTripTest, SubmitBidsSurviveEncodeDecodeBitExactly) {
   run_roundtrip_loop(&run_submit_bids_roundtrip_trial);
 }
@@ -341,67 +224,51 @@ TEST(CodecRoundTripTest, SettlementAcksSurviveEncodeDecodeBitExactly) {
   run_roundtrip_loop(&run_settlement_ack_roundtrip_trial);
 }
 
-TEST(CodecRoundTripTest, MembershipFramesSurviveEncodeDecodeExactly) {
-  run_roundtrip_loop(&run_membership_roundtrip_trial);
-}
-
 TEST(CodecRoundTripTest, ServerHellosSurviveEncodeDecodeExactly) {
   run_roundtrip_loop(&run_server_hello_roundtrip_trial);
 }
 
 TEST(CodecRoundTripTest, TypeConfusionIsRejected) {
+  // Every valid frame decodes only as its own type: each decoder refuses
+  // each other type's frame, whatever their payload layouts share.
   sfl::util::Rng rng(4242);
-  const ShardRequest request = make_request(rng);
-  const ShardReply reply = make_reply(rng);
-  Frame request_frame;
-  Frame reply_frame;
-  encode(request, request_frame);
-  encode(reply, reply_frame);
-  EXPECT_THROW((void)decode_reply(request_frame), WireError);
-  EXPECT_THROW((void)decode_request(reply_frame), WireError);
-
-  // Shard <-> service confusion: a valid service frame is never a shard
-  // frame and vice versa.
   Frame submit_frame;
-  encode(make_submit_bids(rng), submit_frame);
-  EXPECT_THROW((void)decode_request(submit_frame), WireError);
-  EXPECT_THROW((void)decode_reply(submit_frame), WireError);
-  sfl::service::RoundResult result_out;
-  EXPECT_THROW(decode(request_frame, result_out), WireError);
-  sfl::service::SubmitBids submit_out;
-  EXPECT_THROW(decode(reply_frame, submit_out), WireError);
-
-  // Membership confusion: hello and goodbye share a payload layout, so the
-  // type byte is the ONLY thing telling join from leave — the decoders must
-  // refuse to read one as the other, and neither is ever a shard frame.
+  Frame result_frame;
+  Frame ack_frame;
   Frame hello_frame;
-  Frame goodbye_frame;
-  encode(WorkerHello{.worker = 3}, hello_frame);
-  encode(WorkerGoodbye{.worker = 3}, goodbye_frame);
-  WorkerHello hello_out;
-  WorkerGoodbye goodbye_out;
-  EXPECT_THROW(decode(hello_frame, goodbye_out), WireError);
-  EXPECT_THROW(decode(goodbye_frame, hello_out), WireError);
-  EXPECT_THROW((void)decode_request(hello_frame), WireError);
-  EXPECT_THROW((void)decode_reply(goodbye_frame), WireError);
-  EXPECT_THROW(decode(hello_frame, submit_out), WireError);
+  encode(make_submit_bids(rng), submit_frame);
+  encode(make_round_result(rng), result_frame);
+  encode(make_settlement_ack(rng), ack_frame);
+  encode(make_server_hello(rng), hello_frame);
+
+  SubmitBids submit_out;
+  RoundResult result_out;
+  SettlementAck ack_out;
+  ServerHello hello_out;
+  for (const Frame* frame : {&result_frame, &ack_frame, &hello_frame}) {
+    EXPECT_THROW(decode(*frame, submit_out), WireError);
+  }
+  for (const Frame* frame : {&submit_frame, &ack_frame, &hello_frame}) {
+    EXPECT_THROW(decode(*frame, result_out), WireError);
+  }
+  for (const Frame* frame : {&submit_frame, &result_frame, &hello_frame}) {
+    EXPECT_THROW(decode(*frame, ack_out), WireError);
+  }
+  for (const Frame* frame : {&submit_frame, &result_frame, &ack_frame}) {
+    EXPECT_THROW(decode(*frame, hello_out), WireError);
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Fuzz: mutated, truncated, and garbage frames.
 // ---------------------------------------------------------------------------
 
-/// Every wire type the fuzz sweeps cover: the shard protocol pair, the
-/// three service RPC types, and the two PR-7 membership frames.
+/// Every wire type the fuzz sweeps cover.
 enum class FrameKind : std::size_t {
-  kShardRequest = 0,
-  kShardReply,
-  kSubmitBids,
+  kSubmitBids = 0,
   kRoundResult,
   kSettlementAck,
   kServerHello,
-  kWorkerHello,
-  kWorkerGoodbye,
   kCount,
 };
 
@@ -413,12 +280,6 @@ FrameKind pick_kind(sfl::util::Rng& rng) {
 /// Encodes a freshly generated valid frame of the given kind.
 void make_frame(FrameKind kind, sfl::util::Rng& rng, Frame& out) {
   switch (kind) {
-    case FrameKind::kShardRequest:
-      encode(make_request(rng), out);
-      return;
-    case FrameKind::kShardReply:
-      encode(make_reply(rng), out);
-      return;
     case FrameKind::kSubmitBids:
       encode(make_submit_bids(rng), out);
       return;
@@ -430,12 +291,6 @@ void make_frame(FrameKind kind, sfl::util::Rng& rng, Frame& out) {
       return;
     case FrameKind::kServerHello:
       encode(make_server_hello(rng), out);
-      return;
-    case FrameKind::kWorkerHello:
-      encode(make_worker_hello(rng), out);
-      return;
-    case FrameKind::kWorkerGoodbye:
-      encode(make_worker_goodbye(rng), out);
       return;
     case FrameKind::kCount:
       break;
@@ -450,43 +305,23 @@ void expect_rejected(const Frame& frame, FrameKind kind,
                      const std::string& what) {
   try {
     switch (kind) {
-      case FrameKind::kShardRequest: {
-        ShardRequest out;
-        decode(frame, out);
-        break;
-      }
-      case FrameKind::kShardReply: {
-        ShardReply out;
-        decode(frame, out);
-        break;
-      }
       case FrameKind::kSubmitBids: {
-        sfl::service::SubmitBids out;
+        SubmitBids out;
         decode(frame, out);
         break;
       }
       case FrameKind::kRoundResult: {
-        sfl::service::RoundResult out;
+        RoundResult out;
         decode(frame, out);
         break;
       }
       case FrameKind::kSettlementAck: {
-        sfl::service::SettlementAck out;
+        SettlementAck out;
         decode(frame, out);
         break;
       }
       case FrameKind::kServerHello: {
-        sfl::service::ServerHello out;
-        decode(frame, out);
-        break;
-      }
-      case FrameKind::kWorkerHello: {
-        WorkerHello out;
-        decode(frame, out);
-        break;
-      }
-      case FrameKind::kWorkerGoodbye: {
-        WorkerGoodbye out;
+        ServerHello out;
         decode(frame, out);
         break;
       }
@@ -504,7 +339,7 @@ void expect_rejected(const Frame& frame, FrameKind kind,
 TEST(CodecFuzzTest, MutatedFramesAreNeverAccepted) {
   for (std::size_t trial = 0; trial < fuzz_trials(); ++trial) {
     const std::uint64_t seed = trial_seed(trial);
-    SCOPED_TRACE("repro: dist_codec_fuzz_test --seed=" +
+    SCOPED_TRACE("repro: service_codec_fuzz_test --seed=" +
                  std::to_string(seed));
     const bool failed_before = ::testing::Test::HasFailure();
     sfl::util::Rng rng(seed ^ 0xabadULL);
@@ -539,7 +374,7 @@ TEST(CodecFuzzTest, TruncatedFramesAreNeverAccepted) {
   for (std::size_t trial = 0; trial < std::min<std::size_t>(fuzz_trials(), 200);
        ++trial) {
     const std::uint64_t seed = trial_seed(trial);
-    SCOPED_TRACE("repro: dist_codec_fuzz_test --seed=" +
+    SCOPED_TRACE("repro: service_codec_fuzz_test --seed=" +
                  std::to_string(seed));
     const bool failed_before = ::testing::Test::HasFailure();
     sfl::util::Rng rng(seed ^ 0x7acaULL);
@@ -563,7 +398,7 @@ TEST(CodecFuzzTest, TruncatedFramesAreNeverAccepted) {
 TEST(CodecFuzzTest, GarbageBuffersAreNeverAccepted) {
   for (std::size_t trial = 0; trial < fuzz_trials(); ++trial) {
     const std::uint64_t seed = trial_seed(trial);
-    SCOPED_TRACE("repro: dist_codec_fuzz_test --seed=" +
+    SCOPED_TRACE("repro: service_codec_fuzz_test --seed=" +
                  std::to_string(seed));
     const bool failed_before = ::testing::Test::HasFailure();
     sfl::util::Rng rng(seed ^ 0x9a5bULL);
@@ -583,17 +418,16 @@ TEST(CodecFuzzTest, LengthFieldAttacksAreBounded) {
   // A frame whose header claims an absurd payload length must be rejected
   // before any allocation of that size is attempted.
   sfl::util::Rng rng(31337);
-  const ShardRequest request = make_request(rng);
   Frame frame;
-  encode(request, frame);
+  encode(make_submit_bids(rng), frame);
   // payload_len lives at header offset 8 (little-endian u64): claim 2^62.
   for (std::size_t i = 0; i < 8; ++i) frame[8 + i] = std::byte{0};
   frame[8 + 7] = std::byte{0x40};
-  expect_rejected(frame, FrameKind::kShardRequest, "length bomb");
+  expect_rejected(frame, FrameKind::kSubmitBids, "length bomb");
 }
 
 }  // namespace
-}  // namespace sfl::dist
+}  // namespace sfl::service
 
 // Custom main: --seed=N pins the generators to one seed for exact
 // reproduction; failing seeds are persisted for the CI artifact and echoed
@@ -604,18 +438,18 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     constexpr const char* kSeedFlag = "--seed=";
     if (arg.rfind(kSeedFlag, 0) == 0) {
-      sfl::dist::g_fixed_seed = std::strtoull(
+      sfl::service::g_fixed_seed = std::strtoull(
           arg.c_str() + std::string(kSeedFlag).size(), nullptr, 10);
     }
   }
   ::testing::InitGoogleTest(&argc, argv);
   const int result = RUN_ALL_TESTS();
-  if (!sfl::dist::g_failed_seeds.empty()) {
+  if (!sfl::service::g_failed_seeds.empty()) {
     std::ofstream out("codec_fuzz_failure_seeds.txt", std::ios::app);
     std::cerr << "\ncodec fuzz failures; reproduce each with:\n";
-    for (const std::uint64_t seed : sfl::dist::g_failed_seeds) {
+    for (const std::uint64_t seed : sfl::service::g_failed_seeds) {
       out << seed << "\n";
-      std::cerr << "  dist_codec_fuzz_test --seed=" << seed << "\n";
+      std::cerr << "  service_codec_fuzz_test --seed=" << seed << "\n";
     }
     std::cerr << "(seeds appended to codec_fuzz_failure_seeds.txt)\n";
   }

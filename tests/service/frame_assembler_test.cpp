@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstring>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "dist/wire_codec.h"
@@ -144,11 +145,40 @@ TEST(FrameAssemblerTest, GarbageAfterValidFrameCondemnsOnNextFrame) {
 }
 
 TEST(FrameAssemblerTest, UnknownFrameTypeIsImplausible) {
-  FrameAssembler assembler;
-  Frame wire = encoded_submit(1);
-  wire[5] = std::byte{99};  // type byte outside the known range
-  EXPECT_FALSE(assembler.feed(wire));
-  EXPECT_TRUE(assembler.condemned());
+  // Only the service types 3, 4, 5 and 8 are known. Bytes 1, 2, 6 and 7
+  // named the retired shard-protocol frames; a frame carrying one is
+  // otherwise intact (the header is not covered by the payload checksum),
+  // so the type check alone must reject it, as it rejects any other byte.
+  for (unsigned raw = 0; raw < 256; ++raw) {
+    const bool service_type = raw == 3 || raw == 4 || raw == 5 || raw == 8;
+    EXPECT_EQ(sfl::dist::frame_type_known(static_cast<std::uint8_t>(raw)),
+              service_type)
+        << "type byte " << raw;
+  }
+  for (const std::uint8_t unknown : {1, 2, 6, 7, 99}) {
+    SCOPED_TRACE("type byte " + std::to_string(unknown));
+    Frame wire = encoded_submit(1);
+    wire[5] = static_cast<std::byte>(unknown);
+    EXPECT_THROW((void)sfl::dist::checked_frame_type(wire),
+                 sfl::dist::WireError);
+
+    FrameAssembler assembler;
+    EXPECT_FALSE(assembler.feed(wire));
+    EXPECT_TRUE(assembler.condemned());
+
+    // Behind a valid frame, the stream is condemned when its header is
+    // examined.
+    FrameAssembler stream_assembler;
+    const Frame good = encoded_submit(2);
+    Frame stream = good;
+    stream.insert(stream.end(), wire.begin(), wire.end());
+    ASSERT_TRUE(stream_assembler.feed(stream));
+    Frame out;
+    ASSERT_TRUE(stream_assembler.next_frame(out));
+    EXPECT_EQ(out, good);
+    EXPECT_FALSE(stream_assembler.next_frame(out));
+    EXPECT_TRUE(stream_assembler.condemned());
+  }
 }
 
 TEST(FrameAssemblerTest, WireVersionMismatchGetsAnActionableReason) {

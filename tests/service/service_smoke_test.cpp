@@ -305,14 +305,19 @@ TEST(ServiceSmokeTest, MismatchedKnobsFailFastInsteadOfHangingSilently) {
   EXPECT_LT(elapsed, std::chrono::seconds(20))
       << "the mismatch must be detected up front, not via hang timeouts";
 
-  // Same for a mechanism-key disagreement (the server runs the default
-  // lto-vcg).
+  // Same for a mechanism-key disagreement: the server runs the default
+  // lto-vcg, the generator asks for another registered key, and only the
+  // ServerHello mechanism check may fail the run.
+  std::string mechanism_stderr;
   const int mechanism_exit = run_load_gen(
       {"--port=" + std::to_string(server->port), "--clients=64",
        "--connections=2", "--markets=1", "--rounds=2", "--bids-per-round=8",
-       "--winners=3", "--mechanism=lto-vcg-dist", "--verify=0"});
+       "--winners=3", "--mechanism=lto-vcg-sharded", "--verify=0"},
+      &mechanism_stderr);
   if (mechanism_exit == -1) GTEST_SKIP() << "load generator could not be spawned";
   EXPECT_EQ(mechanism_exit, 1);
+  EXPECT_NE(mechanism_stderr.find("server runs mechanism"), std::string::npos)
+      << mechanism_stderr;
 
   server->stop(SIGTERM);
 }
