@@ -25,7 +25,6 @@
 #include <iostream>
 #include <string>
 
-#include "auction/market_batch.h"
 #include "auction/payments.h"
 #include "auction/random_instance.h"
 #include "auction/round_scratch.h"
@@ -157,44 +156,6 @@ BENCHMARK(BM_FullRoundShardedAuto)
     ->RangeMultiplier(10)
     ->Range(100, scal_max_n())
     ->Unit(benchmark::kMicrosecond);
-
-void BM_MegaBatchMarkets(benchmark::State& state) {
-  // The cross-market batch axis: arg0 = MARKET count (not rows), each a
-  // small independent round of kRowsPerMarket candidates carved zero-copy
-  // (view mode) out of one flat arena, cleared by ONE run_rounds call that
-  // partitions markets across the pool lanes and scores with the SIMD
-  // kernels. items/sec == markets/sec; compare time/market here against
-  // BM_FullRoundScratchSerial at n = kRowsPerMarket to read off the
-  // amortization win over clearing the markets one engine call at a time.
-  constexpr std::size_t kRowsPerMarket = 32;
-  const auto market_count = static_cast<std::size_t>(state.range(0));
-  const RandomInstance instance = make_instance(market_count * kRowsPerMarket);
-  const CandidateBatch arena = CandidateBatch::from_aos(instance.candidates);
-
-  MarketBatch markets;
-  markets.bind_arena(arena);
-  markets.reserve(market_count, arena.size());
-  const ScoreWeights weights{10.0, 12.5};
-  for (std::size_t k = 0; k < market_count; ++k) {
-    markets.add_market_view(k * kRowsPerMarket, kRowsPerMarket,
-                            /*max_winners=*/4, weights);
-  }
-
-  const ShardedWdp engine{ShardedWdpConfig{.shards = 0}};
-  MarketBatchResult result;
-  RoundScratch scratch;
-  for (auto _ : state) {
-    engine.run_rounds(markets, result, scratch);
-    benchmark::DoNotOptimize(result.market_count());
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * market_count));
-}
-BENCHMARK(BM_MegaBatchMarkets)
-    ->RangeMultiplier(10)
-    ->Range(1'000, sfl::util::fast_mode_enabled() ? 1'000 : 100'000)
-    ->Unit(benchmark::kMicrosecond)
-    ->UseRealTime();
 
 void BM_TopMWithVcgExternalityPayments(benchmark::State& state) {
   // VCG externality payments re-solve the WDP per winner: O(m) x WDP.
@@ -366,77 +327,6 @@ bool verify_sharded_equivalence() {
   return true;
 }
 
-/// Pre-bench guard for the mega-batch axis: run_rounds over a mixed batch
-/// of markets (varied sizes, empty slates, m >= n, with/without penalties)
-/// must match per-market run_round bit for bit at every lane count, and
-/// the base-class gather-loop fallback must agree with the fused override.
-bool verify_mega_batch_equivalence() {
-  sfl::util::Rng rng(0xe07);
-  const std::size_t market_count = sfl::util::fast_mode_enabled() ? 64 : 512;
-
-  std::vector<CandidateBatch> slates(market_count);
-  std::vector<Penalties> penalties(market_count);
-  std::vector<std::size_t> winner_caps(market_count);
-  std::vector<ScoreWeights> weight_sets(market_count);
-  MarketBatch markets;
-  for (std::size_t k = 0; k < market_count; ++k) {
-    // Degenerates on purpose: every 17th market empty, every 11th m >= n.
-    const std::size_t rows = k % 17 == 0 ? 0 : 1 + rng.uniform_index(48);
-    for (std::size_t i = 0; i < rows; ++i) {
-      slates[k].emplace(rng.uniform_index(1'000'000), rng.uniform(0.0, 50.0),
-                        rng.uniform(0.0, 25.0), rng.uniform(0.1, 4.0));
-      if (k % 3 == 0) penalties[k].push_back(rng.uniform(0.0, 10.0));
-    }
-    winner_caps[k] = k % 11 == 0 ? rows + 2 : 1 + rng.uniform_index(8);
-    weight_sets[k] = ScoreWeights{rng.uniform(1.0, 20.0),
-                                  rng.uniform(1.0, 20.0)};
-    markets.append_market(slates[k], winner_caps[k], weight_sets[k],
-                          penalties[k]);
-  }
-
-  for (const std::size_t shards : {std::size_t{0}, std::size_t{1},
-                                   std::size_t{3}}) {
-    const ShardedWdp engine{ShardedWdpConfig{.shards = shards}};
-    for (const bool fused : {true, false}) {
-      MarketBatchResult result;
-      RoundScratch scratch;
-      if (fused) {
-        engine.run_rounds(markets, result, scratch);
-      } else {
-        engine.WdpEngine::run_rounds(markets, result, scratch);
-      }
-      for (std::size_t k = 0; k < market_count; ++k) {
-        RoundScratch reference;
-        engine.run_round(slates[k], weight_sets[k], winner_caps[k],
-                         penalties[k], reference);
-        const auto selected = result.selected(k);
-        const auto payments = result.payments(k);
-        const bool winners_match =
-            selected.size() == reference.allocation.selected.size() &&
-            std::equal(selected.begin(), selected.end(),
-                       reference.allocation.selected.begin());
-        const bool payments_match =
-            payments.size() == reference.payments.size() &&
-            std::equal(payments.begin(), payments.end(),
-                       reference.payments.begin(),
-                       [](double a, double b) {
-                         return std::memcmp(&a, &b, sizeof(double)) == 0;
-                       });
-        if (!winners_match || !payments_match ||
-            result.total_score(k) != reference.allocation.total_score) {
-          std::cerr << "E7 FATAL: mega-batch run_rounds ("
-                    << (fused ? "fused" : "fallback") << ", shards=" << shards
-                    << ") diverges from run_round at market " << k << "\n";
-          return false;
-        }
-      }
-    }
-  }
-  std::cout << "E7: mega-batch run_rounds equivalence sweep OK ("
-            << market_count << " markets)\n";
-  return true;
-}
-
 /// Pre-bench guard for the parallel comparison oracles: every timed
 /// configuration (and the auto lane count) must reproduce the serial
 /// oracle bit for bit — selected set, bit-pattern-identical total score,
@@ -561,7 +451,6 @@ int main(int argc, char** argv) {
   const std::optional<std::string> json_path =
       sfl::bench::BenchJsonWriter::extract_json_path(argc, argv);
   if (!verify_sharded_equivalence()) return 1;
-  if (!verify_mega_batch_equivalence()) return 1;
   if (!verify_oracle_equivalence()) return 1;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -5,12 +5,10 @@
 // trajectories into BENCH_e14.json (`--json=<path>` / `json=<path>`):
 //
 //   multi     R LTO requesters compete for one client population per round
-//             under cross-market exclusivity (one fused exclusive
-//             MarketBatch clear per round). The family runs the SAME spec at
-//             shard counts {1, 4} and hard-checks (a) zero duplicate wins
-//             and (b) bit-identical welfare/payment/queue trajectories
-//             across shard counts — a fused-merge regression exits non-zero
-//             and fails the ctest smoke target, not just the bench numbers.
+//             under cross-market exclusivity (one exclusive MarketBatch
+//             clear per round). The family hard-checks zero duplicate wins —
+//             an exclusivity regression exits non-zero and fails the ctest
+//             smoke target, not just the bench numbers.
 //   online    streaming market: clients arrive/depart mid-horizon with
 //             per-client win budgets; the trajectory adds the active-bidder
 //             count per round. Re-run under the same seed and checked for
@@ -83,35 +81,21 @@ int run_multi_family(std::vector<Family>& families) {
   spec.max_winners = 4;
   spec.seed = 20260808;
 
-  spec.shards = 1;
-  const sfl::core::MultiRequesterResult serial =
+  const sfl::core::MultiRequesterResult result =
       sfl::core::run_multi_requester_market(spec);
-  spec.shards = 4;
-  const sfl::core::MultiRequesterResult fused =
-      sfl::core::run_multi_requester_market(spec);
-
-  if (serial.duplicate_wins != 0 || fused.duplicate_wins != 0) {
-    std::cerr << "E14 multi: EXCLUSIVITY VIOLATION (serial="
-              << serial.duplicate_wins << ", fused=" << fused.duplicate_wins
+  if (result.duplicate_wins != 0) {
+    std::cerr << "E14 multi: EXCLUSIVITY VIOLATION (" << result.duplicate_wins
               << " duplicate wins)\n";
-    return 1;
-  }
-  if (!bitwise_equal(serial.welfare_series, fused.welfare_series) ||
-      !bitwise_equal(serial.payment_series, fused.payment_series) ||
-      !bitwise_equal(serial.queue_series, fused.queue_series)) {
-    std::cerr << "E14 multi: fused exclusive clear diverged from the serial "
-                 "reference (shards=4 vs shards=1)\n";
     return 1;
   }
 
   families.push_back(Family{
       .scenario = "multi",
-      .detail = "3 requesters, exclusive fused clear (bit-equal at shards 1/4)",
+      .detail = "3 requesters, exclusive clear",
       .series_names = {"welfare", "payment", "queue_backlog"},
-      .series = {serial.welfare_series, serial.payment_series,
-                 serial.queue_series}});
-  std::cout << "E14 multi: " << spec.rounds << " rounds, duplicate_wins=0, "
-            << "shards {1,4} bit-identical\n";
+      .series = {result.welfare_series, result.payment_series,
+                 result.queue_series}});
+  std::cout << "E14 multi: " << spec.rounds << " rounds, duplicate_wins=0\n";
   return 0;
 }
 

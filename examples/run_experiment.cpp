@@ -6,8 +6,8 @@
 //                  [mechanism=lto-vcg] [rounds=200] [clients=40]
 //                  [partition=dirichlet|iid|quantity] [alpha=0.3]
 //                  [noisy_fraction=0.3] [flip_prob=0.8]
-//                  [budget=6] [winners=8] [v=10] [pacing=0.5] [shards=0]
-//                  [oracle_threads=0] [greedy_scale=20]
+//                  [budget=6] [winners=8] [v=10] [pacing=0.5]
+//                  [shards=0] [oracle_threads=0] [greedy_scale=20]
 //                  [model=logreg|mlp] [hidden=32] [lr=0.05] [local_steps=5]
 //                  [proximal_mu=0]
 //                  [use_reputation=1] [energy=0] [seed=42]
@@ -34,23 +34,27 @@
 //                      max_win_budget; csv= writes the per-round trajectory.
 //   scenario=multi     auction-only multi-requester market: `requesters`
 //                      LTO mechanisms compete for one client population each
-//                      round under cross-market exclusivity (one fused
-//                      exclusive MarketBatch clear per round). Knobs:
-//                      requesters, requester_spread, shards; csv= writes the
-//                      per-round trajectory. Exits non-zero if any client
-//                      ever wins two markets in one round.
+//                      round under cross-market exclusivity (one exclusive
+//                      clear per round). Knobs: requesters,
+//                      requester_spread; csv= writes the per-round
+//                      trajectory. Exits non-zero if any client ever wins
+//                      two markets in one round.
 //
 // Mechanisms: any key in the MechanismRegistry — run with mechanism=list
-// to print them all with descriptions. mechanism=lto-vcg-sharded runs the
-// multi-threaded WDP: `shards` selects the span count (0 = one shard per
-// hardware thread, 1 = serial, k = exactly k shards) and produces the same
-// winners and payments as lto-vcg at any setting.
-//
-// The parallel comparison-oracle keys (mechanism=budgeted-oracle-par,
-// greedy-concave-par, myopic-vcg-ext-par) run the expensive baseline
-// oracles on the shared thread pool: `oracle_threads` picks the lane
-// count (0 = auto, 1 = serial, k = exactly k lanes) and every setting
-// produces bit-identical allocations and payments to the serial keys.
+// to print them all with descriptions. Three keys are tuning knobs that
+// only some mechanisms read (the registry declares which); given to any
+// other mechanism they are unused keys and the run exits 2:
+//   shards          mechanism=lto-vcg-sharded runs the multi-threaded WDP:
+//                   the span count (0 = one shard per hardware thread,
+//                   1 = serial, k = exactly k shards), the same winners and
+//                   payments as lto-vcg at any setting.
+//   oracle_threads  the parallel comparison-oracle keys
+//                   (budgeted-oracle-par, greedy-concave-par,
+//                   myopic-vcg-ext-par): the lane count (0 = auto,
+//                   1 = serial, k = exactly k lanes), bit-identical
+//                   allocations and payments to the serial keys.
+//   greedy_scale    greedy-concave and greedy-concave-par: the concave
+//                   valuation scale.
 #include <exception>
 #include <fstream>
 #include <iostream>
@@ -72,23 +76,30 @@ namespace {
 using sfl::util::Config;
 
 /// Maps the command line onto the registry's config; the registry is the
-/// single source of truth for mechanism names.
-sfl::auction::MechanismConfig mechanism_config_from(const Config& args,
-                                                    double budget,
-                                                    std::size_t num_clients) {
+/// single source of truth for mechanism names. A tuning knob is read only
+/// when the registry says `mechanism`'s builder reads it, so the unread-key
+/// check rejects it everywhere else.
+sfl::auction::MechanismConfig mechanism_config_from(
+    const Config& args, const std::string& mechanism, double budget,
+    std::size_t num_clients) {
   sfl::auction::MechanismConfig config;
   config.num_clients = num_clients;
   config.per_round_budget = budget;
   config.seed = args.get_size("seed", 42);
   config.lto.v_weight = args.get_double("v", 10.0);
   config.lto.pacing_rate = args.get_double("pacing", 0.5);
-  config.lto.shards = args.get_size("shards", 0);
-  // One knob feeds both parallel-oracle surfaces: the "-par" comparison
-  // oracle keys (0 = auto) and the lto externality-payment ablation
-  // (default 1 = serial). Bit-identical results at every count.
-  config.lto.oracle_threads = args.get_size("oracle_threads", 1);
-  config.oracle.threads = args.get_size("oracle_threads", 0);
-  config.oracle.greedy_scale = args.get_double("greedy_scale", 20.0);
+  if (const sfl::auction::MechanismInfo* info =
+          sfl::auction::MechanismRegistry::global().info(mechanism)) {
+    if (info->reads("lto.shards")) {
+      config.lto.shards = args.get_size("shards", 0);
+    }
+    if (info->reads("oracle.threads")) {
+      config.oracle.threads = args.get_size("oracle_threads", 0);
+    }
+    if (info->reads("oracle.greedy_scale")) {
+      config.oracle.greedy_scale = args.get_double("greedy_scale", 20.0);
+    }
+  }
   config.fixed_price.price = args.get_double("price", 1.0);
   config.random_stipend.stipend = args.get_double("stipend", 1.0);
   return config;
@@ -128,8 +139,9 @@ int run_online_scenario(const Config& args) {
   const std::string mechanism_name = args.get_string("mechanism", "lto-vcg");
   const std::unique_ptr<sfl::auction::Mechanism> mechanism =
       sfl::auction::build_mechanism(
-          mechanism_name, mechanism_config_from(args, mspec.per_round_budget,
-                                                mspec.num_clients));
+          mechanism_name,
+          mechanism_config_from(args, mechanism_name, mspec.per_round_budget,
+                                mspec.num_clients));
   const std::string csv_path = args.get_string("csv", "");
   if (!all_keys_read(args)) return 2;
   const sfl::core::MarketResult result =
@@ -184,7 +196,6 @@ int run_multi_scenario(const Config& args) {
   qspec.valuation_scale = args.get_double("valuation_scale", 2.0);
   qspec.requester_value_spread = args.get_double("requester_spread", 0.25);
   qspec.cost.base_sigma = args.get_double("cost_sigma", 0.5);
-  qspec.shards = args.get_size("shards", 1);
   qspec.seed = args.get_size("seed", 42);
 
   const std::string mechanism_name = args.get_string("mechanism", "lto-vcg");
@@ -331,8 +342,8 @@ int run_experiment(int argc, char** argv) {
       scenario, std::move(model), training,
       sfl::auction::build_mechanism(
           mechanism_name,
-          mechanism_config_from(args, config.per_round_budget,
-                                sspec.num_clients)),
+          mechanism_config_from(args, mechanism_name,
+                                config.per_round_budget, sspec.num_clients)),
       config);
   const std::string csv_path = args.get_string("csv", "");
   if (!all_keys_read(args)) return 2;

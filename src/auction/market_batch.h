@@ -1,33 +1,26 @@
-// MarketBatch: many independent market rounds packed into one SoA arena.
+// MarketBatch: several requesters' markets over ONE shared client pool,
+// cleared together under cross-market exclusivity.
 //
-// Production traffic is thousands of concurrent SMALL markets, each clearing
-// its own round with its own weights and penalties. Clearing them one
-// engine call at a time pays the per-round fixed costs (validation, scratch
-// setup, fork-join) per MARKET; MarketBatch amortizes them across the whole
-// set: one contiguous ids/values/bids/energies block plus a per-market
-// descriptor {offset, count, max_winners, weights, penalties}, cleared by
-// ONE WdpEngine::run_rounds call that partitions markets across thread-pool
-// lanes and scores each span with the SIMD kernels (util/simd.h).
+// The multi-requester scenario (core::run_multi_requester_market) runs one
+// LTO-VCG mechanism per requester, but a client can train for at most one
+// requester per round, so the requesters' rounds cannot clear one by one.
+// Each requester appends its slate (rows copied into one SoA arena) with
+// its own weights, winner cap and penalties; clear_exclusive then resolves
+// every client to AT MOST ONE market of the batch under the global greedy
+// order (score desc, ClientId asc, market index asc, row asc). Winners'
+// critical payments are priced against the constrained outcome: market k's
+// threshold is the best score in k among rows whose client ends the batch
+// unassigned ANYWHERE (the best available loser), clamped at 0 — which
+// degenerates to the per-market best-loser rule when client pools are
+// disjoint. A client with rows in several markets (or duplicate rows in
+// one market) wins at most one row in total.
 //
-// Two construction modes:
-//   - append_market(CandidateBatch, ...): owning — rows are copied into the
-//     batch's own arena (the service path: each market keeps its own
-//     reusable CandidateBatch, appended per tick);
-//   - bind_arena(CandidateBatch) + add_market_view(offset, count, ...):
-//     zero-copy — every market is a sub-span of ONE external batch the
-//     caller keeps alive (the mega-bench path: 100k markets over one block
-//     without touching a byte).
-// Penalties are always owned (a lazily zero-filled arena-aligned array), so
-// callers may hand in short-lived penalty scratch.
-//
-// Exactness and isolation contract (pinned by tests/auction/
-// market_batch_test.cpp and the property harness): run_rounds over a
-// MarketBatch is bit-identical, market by market, to running each market
-// through the per-market engine entry points; an empty or m >= n market
-// affects only its own slot; and validate() — which every run_rounds
-// implementation calls FIRST — throws std::invalid_argument on any
-// malformed descriptor before a single market is scored, leaving the
-// result untouched (exception-atomic).
+// Two implementations compute the same assignment: clear_exclusive, the
+// production clear (per-market sorts joined by a cursor merge), and
+// clear_exclusive_reference, the global-sort greedy the tests compare it
+// against. Both call validate() first, so malformed weights throw
+// std::invalid_argument before any market is scored, leaving the result
+// untouched (exception-atomic).
 #pragma once
 
 #include <cstddef>
@@ -35,6 +28,7 @@
 #include <vector>
 
 #include "auction/candidate_batch.h"
+#include "auction/round_scratch.h"
 #include "auction/types.h"
 
 namespace sfl::auction {
@@ -54,63 +48,30 @@ class MarketBatch {
  public:
   MarketBatch() = default;
 
-  /// Forgets every market and any bound arena; owned capacity is kept.
+  /// Forgets every market; owned capacity is kept.
   void clear() noexcept;
   void reserve(std::size_t markets, std::size_t rows);
 
-  /// Owning mode: copies `batch` into the arena as the next market.
-  /// `penalties` must be empty or one per row (copied; the caller's buffer
-  /// may be reused immediately). Throws std::invalid_argument on a size
-  /// mismatch or when an external arena is bound.
+  /// Copies `batch` into the arena as the next market. `penalties` must be
+  /// empty or one per row (copied; the caller's buffer may be reused
+  /// immediately). Throws std::invalid_argument on a size mismatch.
   void append_market(const CandidateBatch& batch, std::size_t max_winners,
                      const ScoreWeights& weights,
                      std::span<const double> penalties = {});
 
-  /// Zero-copy mode: every subsequent add_market_view names a sub-span of
-  /// `arena`, which the caller must keep alive and unmodified for this
-  /// batch's lifetime. Throws std::invalid_argument when owned markets were
-  /// already appended.
-  void bind_arena(const CandidateBatch& arena);
-
-  /// Adds the market [offset, offset + count) of the bound arena. Throws
-  /// std::invalid_argument without a bound arena, on an out-of-range span,
-  /// or on a penalties size mismatch.
-  void add_market_view(std::size_t offset, std::size_t count,
-                       std::size_t max_winners, const ScoreWeights& weights,
-                       std::span<const double> penalties = {});
-
-  /// Cross-market exclusivity (the multi-requester scenario): when set,
-  /// run_rounds resolves every client to AT MOST ONE market per batch under
-  /// the global greedy order (score desc, ClientId asc, market index asc,
-  /// row asc), instead of clearing each market independently. Winners'
-  /// critical payments are priced against the constrained outcome: market
-  /// k's threshold is the best non-selected score in k among rows whose
-  /// client ends the batch unassigned ANYWHERE (the best available loser),
-  /// clamped at 0 — which degenerates to the per-market best-loser rule
-  /// when client pools are disjoint. In exclusive mode a client with rows
-  /// in several markets (or duplicate rows in one market) wins at most one
-  /// row total. Cleared by clear().
-  void set_exclusive(bool exclusive) noexcept { exclusive_ = exclusive; }
-  [[nodiscard]] bool exclusive() const noexcept { return exclusive_; }
-
   [[nodiscard]] std::size_t market_count() const noexcept {
     return markets_.size();
   }
-  /// Rows in the arena (the external batch's size in view mode).
-  [[nodiscard]] std::size_t total_rows() const noexcept;
+  [[nodiscard]] std::size_t total_rows() const noexcept { return ids_.size(); }
   [[nodiscard]] const MarketView& market(std::size_t k) const {
     return markets_[k];
   }
-  /// Mutable descriptor access — for tests that corrupt a descriptor to pin
-  /// the validate() error path; production callers never need it.
-  [[nodiscard]] MarketView& market_mutable(std::size_t k) {
-    return markets_[k];
-  }
 
-  [[nodiscard]] std::span<const ClientId> ids() const noexcept;
-  [[nodiscard]] std::span<const double> values() const noexcept;
-  [[nodiscard]] std::span<const double> bids() const noexcept;
-  [[nodiscard]] std::span<const double> energy_costs() const noexcept;
+  [[nodiscard]] std::span<const ClientId> ids() const noexcept { return ids_; }
+  [[nodiscard]] std::span<const double> values() const noexcept {
+    return values_;
+  }
+  [[nodiscard]] std::span<const double> bids() const noexcept { return bids_; }
 
   /// Market k's penalty rows (arena-aligned), or null when the market has
   /// none — the caller must then score with all-zero penalties.
@@ -119,34 +80,25 @@ class MarketBatch {
                                      : nullptr;
   }
 
-  /// Full structural check, run by every run_rounds implementation BEFORE
-  /// any market is scored: weights finite with bid_weight > 0 and
-  /// value_weight >= 0, every span inside the arena, markets ordered and
-  /// non-overlapping (they share one scores arena — an overlap would race),
-  /// and the penalty arena covering every has_penalties market. Throws
+  /// Weight check, run by both clears BEFORE any market is scored: weights
+  /// finite with bid_weight > 0 and value_weight >= 0. Throws
   /// std::invalid_argument naming the offending market.
   void validate() const;
 
  private:
-  [[nodiscard]] bool view_mode() const noexcept { return external_ != nullptr; }
-
-  const CandidateBatch* external_ = nullptr;  ///< null = owning mode
   std::vector<ClientId> ids_;
   std::vector<double> values_;
   std::vector<double> bids_;
-  std::vector<double> energy_costs_;
   /// Arena-aligned penalties, zero-filled lazily on the first market that
   /// actually carries any; stays empty (never allocated) otherwise.
   std::vector<double> penalties_;
   bool any_penalties_ = false;
-  bool exclusive_ = false;
   std::vector<MarketView> markets_;
 };
 
-/// Per-market results of one run_rounds call: winners (market-LOCAL row
+/// Per-market results of one exclusive clear: winners (market-LOCAL row
 /// indices, ascending) and critical payments, in flat arenas laid out by
-/// reset(). The engine writes each market's slot independently, so markets
-/// on different lanes never contend.
+/// reset().
 class MarketBatchResult {
  public:
   struct Slot {
@@ -177,7 +129,7 @@ class MarketBatchResult {
     return slots_[k].total_score;
   }
 
-  // Engine-facing mutable access (capacity-sized spans; the engine stamps
+  // Clear-facing mutable access (capacity-sized spans; the clear stamps
   // slot(k).count with how many it filled).
   [[nodiscard]] Slot& slot(std::size_t k) { return slots_[k]; }
   [[nodiscard]] std::span<std::size_t> selected_storage(std::size_t k) {
@@ -194,5 +146,18 @@ class MarketBatchResult {
   std::vector<std::size_t> selected_;
   std::vector<double> payments_;
 };
+
+/// The production exclusive clear, on the caller's thread: scores and
+/// fully sorts every market's span, then merges the per-market cursors
+/// through a heap, which visits rows in exactly the global greedy order.
+/// Bit-identical to clear_exclusive_reference on every batch.
+void clear_exclusive(const MarketBatch& batch, MarketBatchResult& result,
+                     RoundScratch& scratch);
+
+/// The reference shape of the same clear: one global sort of every row,
+/// then greedy acceptance. Kept for the tests that pin clear_exclusive.
+void clear_exclusive_reference(const MarketBatch& batch,
+                               MarketBatchResult& result,
+                               RoundScratch& scratch);
 
 }  // namespace sfl::auction

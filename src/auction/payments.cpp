@@ -187,8 +187,7 @@ std::vector<double> vcg_payments(const std::vector<Candidate>& candidates,
   // Each lane owns a contiguous winner span and its own reduced-slate
   // buffers; per-winner payments are independent, so any partition yields
   // bit-identical results. The pool's fn must not throw — lane errors are
-  // parked and the first one rethrown after the join, matching the fused
-  // ShardedWdp::run_rounds pattern.
+  // parked and the first one rethrown after the join.
   std::vector<std::exception_ptr> lane_errors(lanes);
   sfl::util::shared_pool().parallel_for_chunks(
       winners, lanes,

@@ -1,5 +1,6 @@
 #include "auction/registry.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -59,7 +60,8 @@ void register_builtins(MechanismRegistry& registry) {
         lto.shards = config.lto.shards;
         lto.name = "lto-vcg-sharded";
         return std::make_unique<core::LongTermOnlineVcgMechanism>(lto);
-      });
+      },
+      {"lto.shards"});
   registry.add(
       "lto-vcg-unpaced",
       "LTO-VCG ablation with the sustainability queues Z_i disabled "
@@ -138,7 +140,8 @@ void register_builtins(MechanismRegistry& registry) {
       [](const MechanismConfig& config) -> std::unique_ptr<Mechanism> {
         return std::make_unique<BudgetedOracleMechanism>(
             config.budgeted_oracle.resolution, config.oracle.threads);
-      });
+      },
+      {"oracle.threads"});
   registry.add(
       "greedy-concave",
       "Concave-valuation greedy (diminishing returns of total selected "
@@ -147,7 +150,8 @@ void register_builtins(MechanismRegistry& registry) {
       [](const MechanismConfig& config) -> std::unique_ptr<Mechanism> {
         return std::make_unique<GreedyConcaveMechanism>(
             config.oracle.greedy_scale);
-      });
+      },
+      {"oracle.greedy_scale"});
   registry.add_variant(
       "greedy-concave-par", "greedy-concave",
       "Greedy-concave with each marginal scan run as per-chunk argmax on "
@@ -157,7 +161,8 @@ void register_builtins(MechanismRegistry& registry) {
       [](const MechanismConfig& config) -> std::unique_ptr<Mechanism> {
         return std::make_unique<GreedyConcaveMechanism>(
             config.oracle.greedy_scale, config.oracle.threads);
-      });
+      },
+      {"oracle.threads", "oracle.greedy_scale"});
   registry.add(
       "myopic-vcg-ext",
       "Per-round VCG paying explicit leave-one-out externalities (equal to "
@@ -174,7 +179,8 @@ void register_builtins(MechanismRegistry& registry) {
       "serial, k = k lanes)",
       [](const MechanismConfig& config) -> std::unique_ptr<Mechanism> {
         return std::make_unique<MyopicVcgExtMechanism>(config.oracle.threads);
-      });
+      },
+      {"oracle.threads"});
 }
 
 }  // namespace
@@ -188,14 +194,19 @@ MechanismRegistry& MechanismRegistry::global() {
   return registry;
 }
 
+bool MechanismInfo::reads(std::string_view knob) const {
+  return std::find(knobs.begin(), knobs.end(), knob) != knobs.end();
+}
+
 void MechanismRegistry::add(std::string name, std::string description,
-                            Factory factory) {
+                            Factory factory, std::vector<std::string> knobs) {
   add_variant(std::move(name), /*variant_of=*/"", std::move(description),
-              std::move(factory));
+              std::move(factory), std::move(knobs));
 }
 
 void MechanismRegistry::add_variant(std::string name, std::string variant_of,
-                                    std::string description, Factory factory) {
+                                    std::string description, Factory factory,
+                                    std::vector<std::string> knobs) {
   require(!name.empty(), "mechanism key must be non-empty");
   require(static_cast<bool>(factory), "mechanism factory must be callable");
   require(find(name) == nullptr,
@@ -204,12 +215,19 @@ void MechanismRegistry::add_variant(std::string name, std::string variant_of,
   entries_.push_back(Entry{
       .info = MechanismInfo{.name = std::move(name),
                             .description = std::move(description),
-                            .variant_of = std::move(variant_of)},
+                            .variant_of = std::move(variant_of),
+                            .knobs = std::move(knobs)},
       .factory = std::move(factory)});
 }
 
 bool MechanismRegistry::contains(const std::string& name) const noexcept {
   return find(name) != nullptr;
+}
+
+const MechanismInfo* MechanismRegistry::info(
+    const std::string& name) const noexcept {
+  const Entry* entry = find(name);
+  return entry == nullptr ? nullptr : &entry->info;
 }
 
 const MechanismRegistry::Entry* MechanismRegistry::find(

@@ -23,6 +23,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "auction/mechanism.h"
@@ -136,6 +137,14 @@ struct MechanismInfo {
   /// variant_of names the same canonical rule — registering a new variant
   /// here is ALL it takes to be covered (no hand-maintained test list).
   std::string variant_of;
+  /// The tuning fields of MechanismConfig this key's builder reads, by
+  /// field path ("lto.shards", "oracle.threads", "oracle.greedy_scale").
+  /// Declared next to the builder, so a front end can set a knob only for
+  /// the keys that read it and reject it for the rest instead of running
+  /// on a setting that does nothing.
+  std::vector<std::string> knobs;
+
+  [[nodiscard]] bool reads(std::string_view knob) const;
 };
 
 class MechanismRegistry {
@@ -146,17 +155,25 @@ class MechanismRegistry {
   /// The process-wide registry, pre-populated with the built-in rules.
   [[nodiscard]] static MechanismRegistry& global();
 
-  /// Registers a factory under `name`. Throws std::invalid_argument on a
-  /// duplicate key or an empty factory.
-  void add(std::string name, std::string description, Factory factory);
+  /// Registers a factory under `name`, with the tuning knobs it reads (see
+  /// MechanismInfo::knobs). Throws std::invalid_argument on a duplicate key
+  /// or an empty factory.
+  void add(std::string name, std::string description, Factory factory,
+           std::vector<std::string> knobs = {});
 
   /// Registers an execution variant of `variant_of` (same rule, same
   /// results, different thread layout); the property harness's trajectory
   /// sweep picks it up automatically.
   void add_variant(std::string name, std::string variant_of,
-                   std::string description, Factory factory);
+                   std::string description, Factory factory,
+                   std::vector<std::string> knobs = {});
 
   [[nodiscard]] bool contains(const std::string& name) const noexcept;
+
+  /// The named key's metadata, or nullptr for an unknown key. The pointer
+  /// is valid until the next add.
+  [[nodiscard]] const MechanismInfo* info(
+      const std::string& name) const noexcept;
 
   /// Builds the named mechanism. Throws std::invalid_argument for unknown
   /// names, with the known keys in the message.

@@ -35,17 +35,17 @@ struct RoundScratch {
   /// Per-winner payments aligned with allocation.selected.
   std::vector<double> payments;
 
-  // Exclusive-mode (MarketBatch::exclusive()) cross-market buffers. Like
-  // every other member, they grow on first use and are reused after; a
-  // non-exclusive round never touches them.
+  // Cross-market buffers of the exclusive clears (auction/market_batch.h).
+  // Like every other member, they grow on first use and are reused after;
+  // a single-market round never touches them.
   /// Sorted unique ClientIds of the whole arena (assignment-set keys).
   std::vector<ClientId> exclusive_clients;
   /// One byte per exclusive_clients entry: 1 = already won somewhere.
   std::vector<unsigned char> exclusive_assigned;
-  /// Row -> market index (the base serial greedy walks a globally sorted
+  /// Row -> market index (the reference greedy walks a globally sorted
   /// order and must recover each row's market).
   std::vector<std::size_t> exclusive_market_of;
-  /// Fused merge state: per-market cursor into the sorted order, and the
+  /// Cursor-merge state: per-market cursor into the sorted order, and the
   /// heap of market indices keyed by each cursor's current row.
   std::vector<std::size_t> exclusive_cursor;
   std::vector<std::size_t> exclusive_heap;

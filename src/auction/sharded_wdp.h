@@ -34,7 +34,6 @@
 #include "auction/candidate_batch.h"
 #include "auction/round_scratch.h"
 #include "auction/types.h"
-#include "auction/wdp_engine.h"
 #include "util/thread_pool.h"
 
 namespace sfl::auction {
@@ -48,7 +47,7 @@ struct ShardedWdpConfig {
   std::size_t shards = 0;
 };
 
-class ShardedWdp final : public WdpEngine {
+class ShardedWdp {
  public:
   /// `pool` may be null: rounds that actually run more than one shard then
   /// execute on util::shared_pool() (resolved at the call site, so a
@@ -71,7 +70,7 @@ class ShardedWdp final : public WdpEngine {
                                  const ScoreWeights& weights,
                                  std::size_t max_winners,
                                  const Penalties& penalties,
-                                 RoundScratch& scratch) const override;
+                                 RoundScratch& scratch) const;
 
   /// Critical-value payments for scratch.allocation, written into
   /// scratch.payments (also returned). Requires select_top_m to have run on
@@ -80,26 +79,14 @@ class ShardedWdp final : public WdpEngine {
   const std::vector<double>& critical_payments(
       const CandidateBatch& batch, const ScoreWeights& weights,
       std::size_t max_winners, const Penalties& penalties,
-      RoundScratch& scratch) const override;
+      RoundScratch& scratch) const;
 
   /// One full round: select + price. Equivalent to calling the two methods
   /// above in sequence; allocation lands in scratch.allocation, payments in
   /// scratch.payments. Zero heap allocations at steady state.
   void run_round(const CandidateBatch& batch, const ScoreWeights& weights,
                  std::size_t max_winners, const Penalties& penalties,
-                 RoundScratch& scratch) const override;
-
-  /// Mega-batch entry point: clears every market of the MarketBatch in one
-  /// fork-join pass — MARKETS (not rows) are partitioned across the pool's
-  /// lanes, each market running the serial select/merge/price math on its
-  /// own arena span, so every market's slot is bit-identical to run_round
-  /// on that market alone. Scoring goes through the SIMD kernels
-  /// (util/simd.h), shared with the single-market path. validate() throws
-  /// before any market is scored (`result` untouched); a per-market failure
-  /// inside the lanes (engine invariant violation) is rethrown after the
-  /// join. config.shards bounds the lane count (0 = auto by total rows).
-  void run_rounds(const MarketBatch& batch, MarketBatchResult& result,
-                  RoundScratch& scratch) const override;
+                 RoundScratch& scratch) const;
 
  private:
   ShardedWdpConfig config_;

@@ -137,15 +137,15 @@ class LongTermOnlineVcgMechanism final : public sfl::auction::Mechanism {
   /// tests and diagnostics).
   [[nodiscard]] sfl::auction::ScoreWeights current_weights() const noexcept;
 
-  // --- external-round API (mega-batch clearing) ----------------------------
+  // --- external-round API -------------------------------------------------
   //
-  // A multi-market host (service::clear_market_rounds) scores MANY
-  // mechanisms' rounds through ONE WdpEngine::run_rounds call. The mechanism
-  // exports its round inputs (weights + penalties), the host runs the fused
-  // engine pass, and the winners/payments come back through
-  // commit_external_round — bit-identical to run_round_into, because the
-  // engine's mega-batch contract is per-market bit-identity and the inputs
-  // are produced by the same code.
+  // For hosts that run winner determination themselves: the mechanism
+  // exports its round inputs (weights + penalties), the host clears, and
+  // the winners/payments come back through commit_external_round. The
+  // multi-requester market clears every requester's round in one exclusive
+  // batch (auction::clear_exclusive); perfbench's clear-diurnal workload
+  // runs ShardedWdp::select_top_m and critical_payments in between, which
+  // is bit-identical to run_round_into (same inputs, same engine).
 
   /// Whether this instance's rounds may be cleared externally: the
   /// critical-value payment rule.

@@ -4,7 +4,6 @@
 
 #include "auction/market_batch.h"
 #include "auction/registry.h"
-#include "auction/sharded_wdp.h"
 #include "core/long_term_online_vcg.h"
 #include "util/require.h"
 
@@ -236,7 +235,7 @@ MultiRequesterResult run_multi_requester_market(const MultiRequesterSpec& spec,
   // One LTO mechanism per requester (independent Q/Z queues and budget),
   // built from the registry key so execution variants can be swept. Each
   // must expose the external-round API: winner determination happens in the
-  // shared exclusive engine pass below, not inside the mechanism.
+  // shared exclusive clear below, not inside the mechanism.
   sfl::auction::MechanismConfig mconfig;
   mconfig.num_clients = spec.num_clients;
   mconfig.per_round_budget = spec.per_round_budget;
@@ -255,11 +254,6 @@ MultiRequesterResult run_multi_requester_market(const MultiRequesterSpec& spec,
     requesters.push_back(requester);
   }
 
-  // The host engine clearing all requesters' rounds in one exclusive fused
-  // pass (bit-identical at every shard count; 1 = the serial reference).
-  const sfl::auction::ShardedWdp engine(
-      sfl::auction::ShardedWdpConfig{.shards = spec.shards});
-
   MultiRequesterResult result;
   result.rounds = spec.rounds;
   result.requesters = spec.requesters;
@@ -272,15 +266,15 @@ MultiRequesterResult run_multi_requester_market(const MultiRequesterSpec& spec,
   result.queue_series.reserve(spec.rounds);
 
   // Reused round buffers: per-requester slates/penalties, the exclusive
-  // mega-batch, and the settlement pipeline (allocation-free at steady
+  // batch, and the settlement pipeline (allocation-free at steady
   // state once capacities settle).
   std::vector<CandidateBatch> slates(spec.requesters);
   std::vector<sfl::auction::Penalties> penalties(spec.requesters);
   for (auto& s : slates) s.reserve(spec.num_clients);
-  sfl::auction::MarketBatch mega;
-  mega.reserve(spec.requesters, spec.requesters * spec.num_clients);
+  sfl::auction::MarketBatch markets;
+  markets.reserve(spec.requesters, spec.requesters * spec.num_clients);
   sfl::auction::MarketBatchResult batch_result;
-  sfl::auction::RoundScratch engine_scratch;
+  sfl::auction::RoundScratch clear_scratch;
   MechanismResult outcome;
   RoundSettlement settlement;
   std::vector<unsigned char> won_this_round(spec.num_clients, 0);
@@ -290,8 +284,7 @@ MultiRequesterResult run_multi_requester_market(const MultiRequesterSpec& spec,
 
     // Phase 1: every requester exports its round inputs against its CURRENT
     // queue state (pure observation — no round opens until commit).
-    mega.clear();
-    mega.set_exclusive(true);
+    markets.clear();
     for (std::size_t r = 0; r < spec.requesters; ++r) {
       CandidateBatch& slate = slates[r];
       slate.clear();
@@ -303,11 +296,11 @@ MultiRequesterResult run_multi_requester_market(const MultiRequesterSpec& spec,
       }
       const sfl::auction::ScoreWeights weights =
           requesters[r]->external_round_inputs(slate, penalties[r]);
-      mega.append_market(slate, spec.max_winners, weights, penalties[r]);
+      markets.append_market(slate, spec.max_winners, weights, penalties[r]);
     }
 
     // Phase 2: one exclusive clear across all requesters' markets.
-    engine.run_rounds(mega, batch_result, engine_scratch);
+    sfl::auction::clear_exclusive(markets, batch_result, clear_scratch);
 
     // Phase 3: commit + settle each requester (synchronously, in requester
     // order — settling r never touches r' != r's queues, so the inputs

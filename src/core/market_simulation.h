@@ -106,10 +106,10 @@ using StrategyTable = std::vector<std::shared_ptr<const econ::BiddingStrategy>>;
 /// requesters auction over ONE shared client population each round. Every
 /// requester runs its own LTO mechanism (independent Q/Z queues and budget),
 /// but a client can train for at most one requester per round, so the R
-/// per-requester rounds are cleared together as an exclusive MarketBatch
-/// (MarketBatch::set_exclusive) through one fused engine pass, and each
-/// requester's winners/payments flow back through the mechanism's
-/// external-round API (external_round_inputs / commit_external_round).
+/// per-requester rounds are appended to one MarketBatch and cleared together
+/// by auction::clear_exclusive, and each requester's winners/payments flow
+/// back through the mechanism's external-round API (external_round_inputs /
+/// commit_external_round).
 struct MultiRequesterSpec {
   std::size_t requesters = 3;
   std::size_t num_clients = 100;
@@ -124,9 +124,6 @@ struct MultiRequesterSpec {
   double requester_value_spread = 0.25;
   double value_sigma = 0.35;
   econ::CostModelSpec cost{};
-  /// Shard lanes for the fused exclusive clear (ShardedWdp semantics:
-  /// 0 = auto, 1 = serial). Bit-identical results at every count.
-  std::size_t shards = 1;
   std::uint64_t seed = 7;
 };
 
@@ -153,7 +150,7 @@ struct MultiRequesterResult {
 /// registry key whose underlying mechanism must be an LTO instance
 /// supporting external rounds (critical-value payments).
 /// Settlement is applied synchronously per requester, so results are
-/// deterministic in the seed for every such key and every shard count.
+/// deterministic in the seed for every such key.
 [[nodiscard]] MultiRequesterResult run_multi_requester_market(
     const MultiRequesterSpec& spec, const std::string& mechanism = "lto-vcg");
 

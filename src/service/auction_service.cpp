@@ -280,8 +280,8 @@ bool AuctionService::handle_frame(Connection& conn, const Frame& frame) {
     bids_received_.fetch_add(1, std::memory_order_relaxed);
   }
   // Clearing is deferred to the end of the poll tick (clear_tick_markets):
-  // every market touched by ANY frame this tick clears through one
-  // mega-batch engine pass instead of one pass per frame.
+  // every market touched by ANY frame this tick is checked once, after all
+  // of the tick's frames are applied.
   tick_ready_markets_.insert(tick_ready_markets_.end(),
                              frame_touched_markets_.begin(),
                              frame_touched_markets_.end());
@@ -367,10 +367,9 @@ void AuctionService::apply_bid(const Connection& conn, std::uint64_t market_id,
 }
 
 void AuctionService::clear_tick_markets() {
-  // Strict round order per market, one mega-batch engine pass per
-  // iteration: each touched market contributes at most its next_round (when
-  // that bucket is full) to a clear_market_rounds batch of DISTINCT
-  // markets; a cleared round that unblocks an already-full successor
+  // Strict round order per market: each iteration takes every touched
+  // market's next_round (when that bucket is full) and clears it, in market
+  // id order; a cleared round that unblocks an already-full successor
   // re-queues its market for the next iteration.
   while (!tick_ready_markets_.empty()) {
     std::sort(tick_ready_markets_.begin(), tick_ready_markets_.end());
@@ -378,8 +377,11 @@ void AuctionService::clear_tick_markets() {
         std::unique(tick_ready_markets_.begin(), tick_ready_markets_.end()),
         tick_ready_markets_.end());
 
-    batch_buckets_.clear();
-    batch_market_ids_.clear();
+    // Every ready bucket leaves `pending` before any result is sent: a send
+    // may drop a connection, and its purge must not reach a bucket this
+    // iteration already took.
+    ready_buckets_.clear();
+    ready_market_ids_.clear();
     for (const std::uint64_t market_id : tick_ready_markets_) {
       const auto market_it = markets_.find(market_id);
       if (market_it == markets_.end()) continue;
@@ -392,31 +394,18 @@ void AuctionService::clear_tick_markets() {
           bucket_it->second.rows.size() < config_.engine.bids_per_round) {
         continue;
       }
-      batch_buckets_.push_back(std::move(bucket_it->second));
+      ready_buckets_.push_back(std::move(bucket_it->second));
       market.pending.erase(bucket_it);
-      batch_market_ids_.push_back(market_id);
+      ready_market_ids_.push_back(market_id);
     }
     tick_ready_markets_.clear();
-    if (batch_buckets_.empty()) return;
 
-    // Requests are built only after batch_buckets_ stops growing — its
-    // reallocation would invalidate the row pointers.
-    batch_requests_.clear();
-    for (std::size_t j = 0; j < batch_buckets_.size(); ++j) {
-      MarketState& market = markets_.find(batch_market_ids_[j])->second;
-      batch_requests_.push_back(
-          MarketRoundRequest{.mechanism = market.mechanism.get(),
-                             .round = market.next_round,
-                             .rows = &batch_buckets_[j].rows,
-                             .batch = &market.batch,
-                             .result = &market.result});
-    }
-    clear_market_rounds(clearer_, batch_requests_, config_.engine);
-
-    for (std::size_t j = 0; j < batch_buckets_.size(); ++j) {
-      const std::uint64_t market_id = batch_market_ids_[j];
+    for (std::size_t j = 0; j < ready_buckets_.size(); ++j) {
+      const std::uint64_t market_id = ready_market_ids_[j];
       MarketState& market = markets_.find(market_id)->second;
       const std::uint64_t round = market.next_round;
+      clear_market_round(*market.mechanism, config_.engine, round,
+                         ready_buckets_[j].rows, market.batch, market.result);
       market.next_round = round + 1;
       rounds_cleared_.fetch_add(1, std::memory_order_relaxed);
 
@@ -435,7 +424,7 @@ void AuctionService::clear_tick_markets() {
       // never reused, so a contributor that disconnected (its fd possibly
       // already handed to a new, unrelated client) simply fails the lookup
       // instead of receiving someone else's results.
-      for (const std::uint64_t conn_id : batch_buckets_[j].contributor_ids) {
+      for (const std::uint64_t conn_id : ready_buckets_[j].contributor_ids) {
         const auto conn_it = connections_.find(conn_id);
         if (conn_it == connections_.end() || conn_it->second.dead) continue;
         encode(result_scratch_, encode_scratch_);

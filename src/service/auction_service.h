@@ -159,9 +159,9 @@ class AuctionService {
   void apply_bid(const Connection& conn, std::uint64_t market_id,
                  std::uint64_t round, const BidRow& row);
   /// Tick-end clearing: every market the tick's frames touched whose
-  /// next_round bucket is full clears through ONE mega-batch
-  /// clear_market_rounds call (each market contributes one round per
-  /// iteration; cascades re-queue, preserving strict round order).
+  /// next_round bucket is full clears that round through clear_market_round
+  /// (each market clears one round per iteration, in market id order;
+  /// cascades re-queue, preserving strict round order).
   void clear_tick_markets();
   /// Removes a gone connection's bids from every pending bucket.
   void purge_connection_bids(std::uint64_t conn_id);
@@ -195,14 +195,12 @@ class AuctionService {
 
   /// The config echo sent first on every accepted connection (encoded once).
   Frame hello_frame_;
-  /// Tick-end clearing state: markets touched this tick, and the per-batch
-  /// buckets/requests handed to clear_market_rounds (kept as members so
-  /// steady-state ticks reuse their capacity).
+  /// Tick-end clearing state: markets touched this tick, and the buckets
+  /// taken for one iteration's rounds (kept as members so steady-state
+  /// ticks reuse their capacity).
   std::vector<std::uint64_t> tick_ready_markets_;
-  std::vector<std::uint64_t> batch_market_ids_;
-  std::vector<Bucket> batch_buckets_;
-  std::vector<MarketRoundRequest> batch_requests_;
-  MultiMarketClearer clearer_;
+  std::vector<std::uint64_t> ready_market_ids_;
+  std::vector<Bucket> ready_buckets_;
 
   std::thread thread_;
   std::atomic<bool> stopping_{false};

@@ -3,25 +3,12 @@
 #include <algorithm>
 #include <tuple>
 
-#include "core/long_term_online_vcg.h"
-
 namespace sfl::service {
 
 namespace {
 
-/// The mechanism's external-round surface, or nullptr when this market must
-/// clear through run_round_into. Unwraps forwarding decorators.
-sfl::core::LongTermOnlineVcgMechanism* external_round_target(
-    sfl::auction::Mechanism& mechanism) {
-  auto* lto = dynamic_cast<sfl::core::LongTermOnlineVcgMechanism*>(
-      mechanism.underlying());
-  if (lto == nullptr || !lto->supports_external_rounds()) return nullptr;
-  return lto;
-}
-
 /// Full-delivery settlement of a cleared round: every winner pays out, no
 /// dropouts (the service has no training loop to observe dropouts from).
-/// Shared verbatim by the per-round and mega-batch paths.
 void settle_full_delivery(sfl::auction::Mechanism& mechanism,
                           std::uint64_t round,
                           const sfl::auction::CandidateBatch& batch,
@@ -82,46 +69,6 @@ void clear_market_round(sfl::auction::Mechanism& mechanism,
   context.per_round_budget = config.per_round_budget;
   mechanism.run_round_into(batch, context, result);
   settle_full_delivery(mechanism, round, batch, result);
-}
-
-void clear_market_rounds(MultiMarketClearer& clearer,
-                         std::span<MarketRoundRequest> requests,
-                         const MarketEngineConfig& config) {
-  clearer.markets.clear();
-  clearer.fast.clear();
-  clearer.markets.reserve(requests.size(),
-                          requests.size() * config.bids_per_round);
-
-  for (std::size_t j = 0; j < requests.size(); ++j) {
-    MarketRoundRequest& req = requests[j];
-    sfl::core::LongTermOnlineVcgMechanism* lto =
-        external_round_target(*req.mechanism);
-    if (lto == nullptr) {
-      // Fallback lane: the mechanism clears its own round the classic way.
-      clear_market_round(*req.mechanism, config, req.round, *req.rows,
-                         *req.batch, *req.result);
-      continue;
-    }
-    fill_canonical_batch(*req.rows, *req.batch);
-    const sfl::auction::ScoreWeights weights =
-        lto->external_round_inputs(*req.batch, clearer.penalties_scratch);
-    clearer.markets.append_market(*req.batch, config.max_winners, weights,
-                                  clearer.penalties_scratch);
-    clearer.fast.push_back(j);
-  }
-  if (clearer.fast.empty()) return;
-
-  // ONE fused engine pass over every fast-lane market.
-  clearer.engine.run_rounds(clearer.markets, clearer.results, clearer.scratch);
-
-  for (std::size_t k = 0; k < clearer.fast.size(); ++k) {
-    MarketRoundRequest& req = requests[clearer.fast[k]];
-    sfl::core::LongTermOnlineVcgMechanism* lto =
-        external_round_target(*req.mechanism);
-    lto->commit_external_round(*req.batch, clearer.results.selected(k),
-                               clearer.results.payments(k), *req.result);
-    settle_full_delivery(*req.mechanism, req.round, *req.batch, *req.result);
-  }
 }
 
 void fill_canonical_batch(std::vector<BidRow>& rows,

@@ -17,15 +17,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "auction/candidate_batch.h"
-#include "auction/market_batch.h"
 #include "auction/registry.h"
-#include "auction/round_scratch.h"
-#include "auction/sharded_wdp.h"
 
 namespace sfl::service {
 
@@ -81,43 +77,5 @@ void clear_market_round(sfl::auction::Mechanism& mechanism,
                         std::vector<BidRow>& rows,
                         sfl::auction::CandidateBatch& batch,
                         sfl::auction::MechanismResult& result);
-
-/// One market's ready round, handed to clear_market_rounds. All pointers
-/// reference the market's own reusable buffers and stay owned by the caller;
-/// `rows` is sorted in place (canonical batch order).
-struct MarketRoundRequest {
-  sfl::auction::Mechanism* mechanism = nullptr;
-  std::uint64_t round = 0;
-  std::vector<BidRow>* rows = nullptr;
-  sfl::auction::CandidateBatch* batch = nullptr;
-  sfl::auction::MechanismResult* result = nullptr;
-};
-
-/// Reusable cross-market clearing state: the mega-batch arena, its result
-/// layout, the fused engine, and the per-call scratch. One per service
-/// instance; everything reaches steady-state capacity after warm-up.
-struct MultiMarketClearer {
-  /// shards = 0: lanes auto-size by total rows, so a one-market tick clears
-  /// inline and a big tick fans markets across the shared pool.
-  sfl::auction::ShardedWdp engine{sfl::auction::ShardedWdpConfig{.shards = 0}};
-  sfl::auction::MarketBatch markets;
-  sfl::auction::MarketBatchResult results;
-  sfl::auction::RoundScratch scratch;
-  sfl::auction::Penalties penalties_scratch;
-  std::vector<std::size_t> fast;  ///< request indices on the mega-batch lane
-};
-
-/// Clears MANY markets' ready rounds in one call — the tick-level batch axis
-/// on top of clear_market_round's per-round contract. Requests whose
-/// mechanism is an LTO-VCG instance on the critical-value rule (every
-/// lto-vcg registry variant the service configures) are scored through ONE
-/// WdpEngine::run_rounds mega-batch pass; anything else falls back to clear_market_round. Either way each market's
-/// result and settlement are bit-identical to clearing it alone — the
-/// engine's run_rounds contract plus the shared input/settle code make the
-/// batch axis unobservable. Requests must name DISTINCT markets (two rounds
-/// of one market in a tick must go through two calls, in round order).
-void clear_market_rounds(MultiMarketClearer& clearer,
-                         std::span<MarketRoundRequest> requests,
-                         const MarketEngineConfig& config);
 
 }  // namespace sfl::service

@@ -1,20 +1,22 @@
-// Cross-market exclusive clearing unit tests (PR 10).
+// Cross-market exclusive clearing unit tests.
 //
-// MarketBatch::set_exclusive(true) turns run_rounds from independent
-// per-market rounds into ONE constrained assignment: every client wins at
-// most one row across the whole batch, resolved by the global greedy order
-// (score desc, ClientId asc, market index asc, row asc), with critical
-// payments priced against the constrained outcome. These tests pin the
-// semantics on hand-built instances — who wins when pools overlap, the tie
-// order, degenerate markets, individual rationality, the disjoint-pool
-// degeneration to the per-market rule — and the bit-identity of the fused
-// ShardedWdp path with the serial WdpEngine reference. The seeded
-// wide-coverage sweep (plus the conflict-resolution reference oracle) lives
-// in tests/property/exclusivity_invariants_test.cpp.
+// clear_exclusive clears a MarketBatch as ONE constrained assignment: every
+// client wins at most one row across the whole batch, resolved by the
+// global greedy order (score desc, ClientId asc, market index asc, row
+// asc), with critical payments priced against the constrained outcome.
+// These tests pin the semantics on hand-built instances — who wins when
+// pools overlap, the tie order, degenerate markets, individual
+// rationality, the disjoint-pool degeneration to the per-market rule — the
+// bit-identity of the cursor merge with the global-sort reference, and the
+// input checks (weights validated before any market is scored, malformed
+// appends refused). The seeded wide-coverage sweep (plus the
+// conflict-resolution oracle) lives in
+// tests/property/exclusivity_invariants_test.cpp.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <span>
 #include <stdexcept>
@@ -41,10 +43,34 @@ CandidateBatch make_slate(
   return slate;
 }
 
-void run_exclusive(const WdpEngine& engine, const MarketBatch& batch,
-                   MarketBatchResult& result) {
+void run_exclusive(const MarketBatch& batch, MarketBatchResult& result) {
   RoundScratch scratch;
-  engine.run_rounds(batch, result, scratch);
+  clear_exclusive(batch, result, scratch);
+}
+
+/// Bit-compares market k of `result` against running that market's slate
+/// alone through ShardedWdp::run_round (the per-market rule).
+void expect_market_matches_run_round(const CandidateBatch& slate,
+                                     std::size_t max_winners,
+                                     const ScoreWeights& weights,
+                                     const MarketBatchResult& result,
+                                     std::size_t k) {
+  const ShardedWdp engine{ShardedWdpConfig{.shards = 1}};
+  RoundScratch alone;
+  engine.run_round(slate, weights, max_winners, {}, alone);
+  const auto selected = result.selected(k);
+  ASSERT_EQ(selected.size(), alone.allocation.selected.size())
+      << "market " << k;
+  for (std::size_t w = 0; w < selected.size(); ++w) {
+    EXPECT_EQ(selected[w], alone.allocation.selected[w])
+        << "market " << k << " winner " << w;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.payments(k)[w]),
+              std::bit_cast<std::uint64_t>(alone.payments[w]))
+        << "market " << k << " payment " << w;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.total_score(k)),
+            std::bit_cast<std::uint64_t>(alone.allocation.total_score))
+      << "market " << k << " total score";
 }
 
 /// Every (market, winner) pair's client, for the no-duplicate check.
@@ -82,28 +108,30 @@ TEST(ExclusiveRoundsTest, OverlappingClientWinsExactlyOnce) {
   // Client 7 tops both markets; the global greedy assigns it where its
   // score is higher (market 1, score 9) and market 0's seat falls to the
   // runner-up. Without exclusivity client 7 would win both.
+  const CandidateBatch first =
+      make_slate({{ClientId{7}, 5.0}, {ClientId{1}, 3.0}});
+  const CandidateBatch second =
+      make_slate({{ClientId{7}, 9.0}, {ClientId{2}, 4.0}});
   MarketBatch batch;
-  batch.append_market(make_slate({{ClientId{7}, 5.0}, {ClientId{1}, 3.0}}),
-                      /*max_winners=*/1, kUnitWeights);
-  batch.append_market(make_slate({{ClientId{7}, 9.0}, {ClientId{2}, 4.0}}),
-                      /*max_winners=*/1, kUnitWeights);
-  batch.set_exclusive(true);
+  batch.append_market(first, /*max_winners=*/1, kUnitWeights);
+  batch.append_market(second, /*max_winners=*/1, kUnitWeights);
 
-  const ShardedWdp engine{ShardedWdpConfig{.shards = 1}};
   MarketBatchResult result;
-  run_exclusive(engine, batch, result);
+  run_exclusive(batch, result);
 
   ASSERT_EQ(result.selected(0).size(), 1u);
   ASSERT_EQ(result.selected(1).size(), 1u);
   EXPECT_EQ(result.selected(0)[0], 1u);  // client 1, the runner-up
   EXPECT_EQ(result.selected(1)[0], 0u);  // client 7 in its better market
 
-  // Sanity: the unconstrained clear hands client 7 both seats.
-  batch.set_exclusive(false);
-  MarketBatchResult unconstrained;
-  run_exclusive(engine, batch, unconstrained);
-  EXPECT_EQ(unconstrained.selected(0)[0], 0u);
-  EXPECT_EQ(unconstrained.selected(1)[0], 0u);
+  // Sanity: clearing each market alone hands client 7 both seats.
+  const ShardedWdp engine{ShardedWdpConfig{.shards = 1}};
+  for (const CandidateBatch* slate : {&first, &second}) {
+    RoundScratch alone;
+    engine.run_round(*slate, kUnitWeights, 1, {}, alone);
+    ASSERT_EQ(alone.allocation.selected.size(), 1u);
+    EXPECT_EQ(alone.allocation.selected[0], 0u);
+  }
 }
 
 TEST(ExclusiveRoundsTest, TiesResolveByClientThenMarketOrder) {
@@ -117,11 +145,9 @@ TEST(ExclusiveRoundsTest, TiesResolveByClientThenMarketOrder) {
                       /*max_winners=*/2, kUnitWeights);
   batch.append_market(make_slate({{ClientId{3}, 6.0}}),
                       /*max_winners=*/1, kUnitWeights);
-  batch.set_exclusive(true);
 
-  const ShardedWdp engine{ShardedWdpConfig{.shards = 1}};
   MarketBatchResult result;
-  run_exclusive(engine, batch, result);
+  run_exclusive(batch, result);
 
   ASSERT_EQ(result.selected(0).size(), 2u);
   EXPECT_TRUE(result.selected(1).empty());
@@ -137,11 +163,9 @@ TEST(ExclusiveRoundsTest, DuplicateRowsOfOneClientWinAtMostOnce) {
                                   {ClientId{4}, 8.0},
                                   {ClientId{4}, 5.0}}),
                       /*max_winners=*/3, kUnitWeights);
-  batch.set_exclusive(true);
 
-  const ShardedWdp engine{ShardedWdpConfig{.shards = 1}};
   MarketBatchResult result;
-  run_exclusive(engine, batch, result);
+  run_exclusive(batch, result);
 
   ASSERT_EQ(result.selected(0).size(), 1u);
   EXPECT_EQ(result.selected(0)[0], 1u);  // its best row
@@ -156,11 +180,9 @@ TEST(ExclusiveRoundsTest, DegenerateMarketsTakeNoSeats) {
                       kUnitWeights);
   batch.append_market(make_slate({{ClientId{1}, 2.0}, {ClientId{2}, 1.0}}),
                       /*max_winners=*/5, kUnitWeights);  // m >= n
-  batch.set_exclusive(true);
 
-  const ShardedWdp engine{ShardedWdpConfig{.shards = 1}};
   MarketBatchResult result;
-  run_exclusive(engine, batch, result);
+  run_exclusive(batch, result);
 
   EXPECT_TRUE(result.selected(0).empty());
   EXPECT_TRUE(result.selected(1).empty());
@@ -173,10 +195,13 @@ TEST(ExclusiveRoundsTest, DegenerateMarketsTakeNoSeats) {
 TEST(ExclusiveRoundsTest, DisjointPoolsDegenerateToPerMarketClearing) {
   // With no client shared between markets the exclusivity constraint never
   // binds, and the documented payment rule degenerates to the per-market
-  // best-loser threshold — the exclusive clear must equal the independent
-  // clear bit for bit.
+  // best-loser threshold — every market must equal its own run_round bit
+  // for bit.
   sfl::util::Rng rng(424242);
   MarketBatch batch;
+  std::vector<CandidateBatch> slates;
+  std::vector<std::size_t> winners;
+  std::vector<ScoreWeights> weights;
   ClientId next_id{0};
   for (std::size_t k = 0; k < 6; ++k) {
     CandidateBatch slate;
@@ -186,26 +211,25 @@ TEST(ExclusiveRoundsTest, DisjointPoolsDegenerateToPerMarketClearing) {
                     rng.uniform(0.1, 2.0));
       next_id = static_cast<ClientId>(static_cast<std::size_t>(next_id) + 1);
     }
-    batch.append_market(slate, 1 + rng.uniform_index(4),
-                        ScoreWeights{.value_weight = rng.uniform(1.0, 10.0),
-                                     .bid_weight = rng.uniform(1.0, 10.0)});
+    winners.push_back(1 + rng.uniform_index(4));
+    weights.push_back(ScoreWeights{.value_weight = rng.uniform(1.0, 10.0),
+                                   .bid_weight = rng.uniform(1.0, 10.0)});
+    batch.append_market(slate, winners.back(), weights.back());
+    slates.push_back(std::move(slate));
   }
 
-  const ShardedWdp engine{ShardedWdpConfig{.shards = 2}};
-  batch.set_exclusive(false);
-  MarketBatchResult independent;
-  run_exclusive(engine, batch, independent);
-  batch.set_exclusive(true);
   MarketBatchResult exclusive;
-  run_exclusive(engine, batch, exclusive);
-  expect_results_bit_identical(batch, exclusive, independent);
+  run_exclusive(batch, exclusive);
+  for (std::size_t k = 0; k < slates.size(); ++k) {
+    expect_market_matches_run_round(slates[k], winners[k], weights[k],
+                                    exclusive, k);
+  }
 }
 
-TEST(ExclusiveRoundsTest, FusedShardedClearMatchesSerialReference) {
-  // Seeded overlapping-pool batches: the fused ShardedWdp override (parallel
-  // per-market sorts + k-way cursor merge) must reproduce the serial
-  // WdpEngine greedy bit for bit at every shard count, and no client may
-  // win twice.
+TEST(ExclusiveRoundsTest, CursorMergeMatchesGlobalSortReference) {
+  // Seeded overlapping-pool batches: the production cursor merge must
+  // reproduce the global-sort reference greedy bit for bit, and no client
+  // may win twice.
   for (const std::uint64_t seed : {1u, 2u, 3u, 17u, 99u}) {
     sfl::util::Rng rng(seed);
     MarketBatch batch;
@@ -226,28 +250,19 @@ TEST(ExclusiveRoundsTest, FusedShardedClearMatchesSerialReference) {
                                        .bid_weight = rng.uniform(1.0, 15.0)},
                           penalties);
     }
-    batch.set_exclusive(true);
+    SCOPED_TRACE("seed " + std::to_string(seed));
 
-    // The serial reference: the base-class implementation, reached by a
-    // qualified call so ShardedWdp's fused override is bypassed.
-    const ShardedWdp reference_engine{ShardedWdpConfig{.shards = 1}};
     MarketBatchResult reference;
     RoundScratch reference_scratch;
-    reference_engine.WdpEngine::run_rounds(batch, reference,
-                                           reference_scratch);
+    clear_exclusive_reference(batch, reference, reference_scratch);
     const std::vector<ClientId> clients = winning_clients(batch, reference);
     EXPECT_EQ(std::set<ClientId>(clients.begin(), clients.end()).size(),
               clients.size())
-        << "seed " << seed << ": a client won two seats";
+        << "a client won two seats";
 
-    for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-      MarketBatchResult fused;
-      const ShardedWdp engine{ShardedWdpConfig{.shards = shards}};
-      run_exclusive(engine, batch, fused);
-      SCOPED_TRACE("seed " + std::to_string(seed) + " shards " +
-                   std::to_string(shards));
-      expect_results_bit_identical(batch, fused, reference);
-    }
+    MarketBatchResult merged;
+    run_exclusive(batch, merged);
+    expect_results_bit_identical(batch, merged, reference);
   }
 }
 
@@ -263,11 +278,9 @@ TEST(ExclusiveRoundsTest, PaymentsAreIndividuallyRational) {
     batch.append_market(slate, 3,
                         ScoreWeights{.value_weight = 8.0, .bid_weight = 4.0});
   }
-  batch.set_exclusive(true);
 
-  const ShardedWdp engine{ShardedWdpConfig{.shards = 4}};
   MarketBatchResult result;
-  run_exclusive(engine, batch, result);
+  run_exclusive(batch, result);
   for (std::size_t k = 0; k < batch.market_count(); ++k) {
     const auto selected = result.selected(k);
     const auto payments = result.payments(k);
@@ -278,30 +291,78 @@ TEST(ExclusiveRoundsTest, PaymentsAreIndividuallyRational) {
   }
 }
 
-TEST(ExclusiveRoundsTest, ValidationFailureLeavesPriorResultIntact) {
-  // run_rounds validates BEFORE touching the result: a corrupted descriptor
-  // throws std::invalid_argument and a previously computed result arena
-  // survives unmodified (exception-atomicity).
+TEST(ExclusiveRoundsTest, BadWeightsThrowBeforeAnyMarketIsScored) {
+  // Both clears validate every market's weights BEFORE touching the
+  // result: a malformed market throws std::invalid_argument and a
+  // previously computed result arena survives unmodified
+  // (exception-atomicity).
+  sfl::util::Rng rng(8805);
+  const auto make_batch = [&rng](const ScoreWeights& last_weights) {
+    MarketBatch batch;
+    for (std::size_t k = 0; k < 4; ++k) {
+      CandidateBatch slate;
+      Penalties penalties;
+      for (std::size_t i = 0; i < 8; ++i) {
+        slate.emplace(ClientId{100 * k + i}, rng.uniform(5.0, 50.0),
+                      rng.uniform(0.0, 4.0), rng.uniform(0.1, 4.0));
+        penalties.push_back(rng.uniform(0.0, 1.0));
+      }
+      batch.append_market(slate, 3, k == 3 ? last_weights : kUnitWeights,
+                          penalties);
+    }
+    return batch;
+  };
+
+  const MarketBatch good = make_batch(kUnitWeights);
+  const ScoreWeights bad_weights[] = {
+      {.value_weight = std::numeric_limits<double>::infinity(),
+       .bid_weight = 1.0},
+      {.value_weight = 1.0,
+       .bid_weight = std::numeric_limits<double>::quiet_NaN()},
+      // bid_weight <= 0 breaks the critical-payment division.
+      {.value_weight = 1.0, .bid_weight = 0.0},
+      {.value_weight = -1.0, .bid_weight = 1.0},
+  };
+  using Clear = void (*)(const MarketBatch&, MarketBatchResult&,
+                         RoundScratch&);
+  for (const Clear clear : {Clear{&clear_exclusive},
+                            Clear{&clear_exclusive_reference}}) {
+    MarketBatchResult result;
+    RoundScratch scratch;
+    clear(good, result, scratch);
+    const std::vector<std::size_t> before(result.selected(2).begin(),
+                                          result.selected(2).end());
+    ASSERT_FALSE(before.empty());
+    const double payment = result.payments(2)[0];
+
+    for (const ScoreWeights& weights : bad_weights) {
+      const MarketBatch bad = make_batch(weights);
+      EXPECT_THROW(clear(bad, result, scratch), std::invalid_argument);
+      // Exception-atomic: the result still holds the last good clear.
+      ASSERT_EQ(result.market_count(), good.market_count());
+      ASSERT_EQ(result.selected(2).size(), before.size());
+      for (std::size_t w = 0; w < before.size(); ++w) {
+        EXPECT_EQ(result.selected(2)[w], before[w]);
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(result.payments(2)[0]),
+                std::bit_cast<std::uint64_t>(payment));
+    }
+  }
+}
+
+TEST(ExclusiveRoundsTest, BadAppendThrowsAndLeavesTheBatchUnchanged) {
+  // Penalties must be empty or one per row; a mismatch is refused at
+  // append time, before any row enters the arena.
   MarketBatch batch;
-  batch.append_market(make_slate({{ClientId{1}, 4.0}, {ClientId{2}, 2.0}}),
-                      /*max_winners=*/1, kUnitWeights);
-  batch.set_exclusive(true);
-
-  const ShardedWdp engine{ShardedWdpConfig{.shards = 1}};
-  MarketBatchResult result;
-  run_exclusive(engine, batch, result);
-  ASSERT_EQ(result.selected(0).size(), 1u);
-  const std::size_t winner = result.selected(0)[0];
-  const double payment = result.payments(0)[0];
-
-  batch.market_mutable(0).offset = 1000;  // span escapes the arena
-  RoundScratch scratch;
-  EXPECT_THROW(engine.run_rounds(batch, result, scratch),
+  const CandidateBatch slate =
+      make_slate({{ClientId{1}, 4.0}, {ClientId{2}, 2.0}, {ClientId{3}, 1.0}});
+  batch.append_market(slate, 1, kUnitWeights);
+  const std::vector<double> short_penalties(2, 1.0);
+  EXPECT_THROW(batch.append_market(slate, 1, kUnitWeights, short_penalties),
                std::invalid_argument);
-  ASSERT_EQ(result.selected(0).size(), 1u);
-  EXPECT_EQ(result.selected(0)[0], winner);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.payments(0)[0]),
-            std::bit_cast<std::uint64_t>(payment));
+  EXPECT_EQ(batch.market_count(), 1u);
+  EXPECT_EQ(batch.total_rows(), slate.size());
+  EXPECT_EQ(batch.market_penalties(0), nullptr);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "auction/random_instance.h"
 #include "core/long_term_online_vcg.h"
@@ -64,6 +67,33 @@ TEST(MechanismRegistryTest, ListsAllBuiltins) {
             (std::vector<std::string>{"budgeted-oracle-par->budgeted-oracle",
                                       "greedy-concave-par->greedy-concave",
                                       "myopic-vcg-ext-par->myopic-vcg-ext"}));
+}
+
+TEST(MechanismRegistryTest, TuningKnobsAreDeclaredOnlyWhereTheyAreRead) {
+  // Front ends set a tuning knob only for keys that declare it, so a key
+  // missing a declaration would silently drop the knob and an extra one
+  // would accept a knob that does nothing.
+  const std::vector<std::pair<std::string, std::vector<std::string>>> expected{
+      {"lto-vcg-sharded", {"lto.shards"}},
+      {"budgeted-oracle-par", {"oracle.threads"}},
+      {"greedy-concave", {"oracle.greedy_scale"}},
+      {"greedy-concave-par", {"oracle.threads", "oracle.greedy_scale"}},
+      {"myopic-vcg-ext-par", {"oracle.threads"}}};
+  const auto& registry = MechanismRegistry::global();
+  for (const MechanismInfo& info : registry.describe()) {
+    const auto it = std::find_if(
+        expected.begin(), expected.end(),
+        [&](const auto& entry) { return entry.first == info.name; });
+    const std::vector<std::string> want =
+        it == expected.end() ? std::vector<std::string>{} : it->second;
+    EXPECT_EQ(info.knobs, want) << info.name;
+    for (const std::string& knob : want) EXPECT_TRUE(info.reads(knob));
+    EXPECT_FALSE(info.reads("lto.v_weight")) << info.name;
+  }
+  ASSERT_NE(registry.info("lto-vcg-sharded"), nullptr);
+  EXPECT_TRUE(registry.info("lto-vcg-sharded")->reads("lto.shards"));
+  EXPECT_FALSE(registry.info("lto-vcg")->reads("lto.shards"));
+  EXPECT_EQ(registry.info("no-such-mechanism"), nullptr);
 }
 
 TEST(MechanismRegistryTest, RoundTripOverEveryRegisteredName) {

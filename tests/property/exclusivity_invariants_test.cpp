@@ -1,12 +1,12 @@
-// Property-test harness for the cross-market exclusivity invariant (PR 10).
+// Property-test harness for the cross-market exclusivity invariant.
 //
-// A seeded generator produces adversarial exclusive MarketBatch instances —
-// heavily overlapping client pools, exact score ties, duplicate rows of one
-// client, zero/negative scores, empty markets, m >= n — and each one is
-// cleared three independent ways:
+// A seeded generator produces adversarial MarketBatch instances — heavily
+// overlapping client pools, exact score ties, duplicate rows of one client,
+// zero/negative scores, empty markets, m >= n — and each one is cleared
+// three independent ways:
 //
-//  1. the serial WdpEngine reference (qualified base-class call);
-//  2. the fused ShardedWdp override at shard counts {1, 2, 3, 7, 16};
+//  1. clear_exclusive_reference, the global-sort greedy;
+//  2. clear_exclusive, the production cursor merge;
 //  3. an ITERATIVE CONFLICT-RESOLUTION oracle that never sees the global
 //     greedy: clear every market independently (top-m over its eligible
 //     rows), find the client holding seats in several markets (or several
@@ -19,7 +19,8 @@
 //     hide.
 //
 // Checked per instance: all three agree on winners bit-for-bit; payments
-// agree bitwise across engines and match an independent recomputation of
+// agree bitwise across the two clears and match an independent
+// recomputation of
 // the documented pricing rule (best unassigned loser per market, clamped
 // at 0); no client wins two seats anywhere; every payment is individually
 // rational (>= the winning bid).
@@ -45,7 +46,6 @@
 #include "auction/candidate_batch.h"
 #include "auction/market_batch.h"
 #include "auction/round_scratch.h"
-#include "auction/sharded_wdp.h"
 #include "auction/types.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -60,8 +60,6 @@ using auction::MarketBatchResult;
 using auction::Penalties;
 using auction::RoundScratch;
 using auction::ScoreWeights;
-using auction::ShardedWdp;
-using auction::ShardedWdpConfig;
 
 std::optional<std::uint64_t> g_fixed_seed;  // --seed=N
 std::vector<std::uint64_t> g_failed_seeds;  // written to the artifact
@@ -132,7 +130,6 @@ MarketBatch make_exclusive_instance(std::uint64_t seed) {
                                             .bid_weight = 2.0};
     batch.append_market(slate, max_winners, weights, penalties);
   }
-  batch.set_exclusive(true);
   return batch;
 }
 
@@ -146,11 +143,11 @@ struct OracleOutcome {
   std::vector<std::vector<double>> payments;
 };
 
-/// Clears the exclusive batch without the one-pass global greedy: repeated
+/// Clears the batch without the one-pass global greedy: repeated
 /// independent per-market top-m clears with deferred-acceptance conflict
 /// resolution (see the file comment). Payments are recomputed from the
 /// documented rule against the final assignment, with the same score
-/// kernel and FP expression shape as the engine so agreement is bitwise.
+/// kernel and FP expression shape as the clears so agreement is bitwise.
 OracleOutcome conflict_resolution_oracle(const MarketBatch& batch) {
   const std::size_t total = batch.total_rows();
   const std::size_t markets = batch.market_count();
@@ -158,7 +155,7 @@ OracleOutcome conflict_resolution_oracle(const MarketBatch& batch) {
   const std::span<const double> values = batch.values();
   const std::span<const double> bids = batch.bids();
 
-  // Scores, same kernel as the engines.
+  // Scores, same kernel as the clears.
   std::vector<double> scores(total, 0.0);
   for (std::size_t k = 0; k < markets; ++k) {
     const auto& view = batch.market(k);
@@ -275,9 +272,9 @@ OracleOutcome conflict_resolution_oracle(const MarketBatch& batch) {
 // Per-instance invariant suite.
 // ---------------------------------------------------------------------------
 
-/// Clears via the serial base-class reference, checks it against the oracle
-/// and the IR/no-duplicate invariants, then sweeps the fused ShardedWdp
-/// path across shard counts. Returns false (and logs) on any violation.
+/// Clears via the global-sort reference, checks it against the oracle and
+/// the IR/no-duplicate invariants, then checks the cursor merge against the
+/// reference. Returns false (and logs) on any violation.
 bool check_instance(std::uint64_t seed) {
   const MarketBatch batch = make_exclusive_instance(seed);
   bool ok = true;
@@ -286,10 +283,9 @@ bool check_instance(std::uint64_t seed) {
     ok = false;
   };
 
-  const ShardedWdp serial_engine{ShardedWdpConfig{.shards = 1}};
   MarketBatchResult reference;
   RoundScratch reference_scratch;
-  serial_engine.WdpEngine::run_rounds(batch, reference, reference_scratch);
+  auction::clear_exclusive_reference(batch, reference, reference_scratch);
 
   // No client holds two seats anywhere in the batch.
   std::set<ClientId> winners_seen;
@@ -331,41 +327,36 @@ bool check_instance(std::uint64_t seed) {
     }
   }
 
-  // The fused override must reproduce the serial reference bit for bit at
-  // every shard count.
-  for (const std::size_t shards : {1u, 2u, 3u, 7u, 16u}) {
-    const ShardedWdp engine{ShardedWdpConfig{.shards = shards}};
-    MarketBatchResult fused;
-    RoundScratch scratch;
-    engine.run_rounds(batch, fused, scratch);
-    for (std::size_t k = 0; k < batch.market_count(); ++k) {
-      const auto got = fused.selected(k);
-      const auto want = reference.selected(k);
-      if (got.size() != want.size() ||
-          !std::equal(got.begin(), got.end(), want.begin())) {
-        fail("shards=" + std::to_string(shards) + " market " +
-             std::to_string(k) + " winners diverge from serial");
-        continue;
+  // The cursor merge must reproduce the reference bit for bit.
+  MarketBatchResult merged;
+  RoundScratch scratch;
+  auction::clear_exclusive(batch, merged, scratch);
+  for (std::size_t k = 0; k < batch.market_count(); ++k) {
+    const auto got = merged.selected(k);
+    const auto want = reference.selected(k);
+    if (got.size() != want.size() ||
+        !std::equal(got.begin(), got.end(), want.begin())) {
+      fail("market " + std::to_string(k) +
+           " merge winners diverge from the reference");
+      continue;
+    }
+    for (std::size_t w = 0; w < got.size(); ++w) {
+      if (std::bit_cast<std::uint64_t>(merged.payments(k)[w]) !=
+          std::bit_cast<std::uint64_t>(reference.payments(k)[w])) {
+        fail("market " + std::to_string(k) + " merge payment " +
+             std::to_string(w) + " diverges from the reference");
       }
-      for (std::size_t w = 0; w < got.size(); ++w) {
-        if (std::bit_cast<std::uint64_t>(fused.payments(k)[w]) !=
-            std::bit_cast<std::uint64_t>(reference.payments(k)[w])) {
-          fail("shards=" + std::to_string(shards) + " market " +
-               std::to_string(k) + " payment " + std::to_string(w) +
-               " diverges from serial");
-        }
-      }
-      if (std::bit_cast<std::uint64_t>(fused.total_score(k)) !=
-          std::bit_cast<std::uint64_t>(reference.total_score(k))) {
-        fail("shards=" + std::to_string(shards) + " market " +
-             std::to_string(k) + " total score diverges from serial");
-      }
+    }
+    if (std::bit_cast<std::uint64_t>(merged.total_score(k)) !=
+        std::bit_cast<std::uint64_t>(reference.total_score(k))) {
+      fail("market " + std::to_string(k) +
+           " merge total score diverges from the reference");
     }
   }
   return ok;
 }
 
-TEST(ExclusivityInvariantsTest, AllEnginesAgreeWithTheOracleOnEveryInstance) {
+TEST(ExclusivityInvariantsTest, BothClearsAgreeWithTheOracleOnEveryInstance) {
   const std::size_t trials = trial_count();
   for (std::size_t trial = 0; trial < trials; ++trial) {
     const std::uint64_t seed = trial_seed(trial);

@@ -24,7 +24,11 @@
 //    settled trajectories; likewise every
 //    parallel-oracle variant (budgeted-oracle-par, greedy-concave-par,
 //    myopic-vcg-ext-par) against its serial canonical at thread counts
-//    {0, 2, 3, 7, 16}.
+//    {0, 2, 3, 7, 16};
+//  - external rounds: for lto-vcg and each of its variants, clearing the
+//    round outside the mechanism (external_round_inputs, ShardedWdp
+//    select + price, commit_external_round) stays bit-identical to
+//    run_round_into, queue state included.
 //
 // Reproducing failures: every trial logs its seed; run
 //   <binary> --seed=N
@@ -48,7 +52,6 @@
 #include <vector>
 
 #include "auction/candidate_batch.h"
-#include "auction/market_batch.h"
 #include "auction/registry.h"
 #include "auction/round_scratch.h"
 #include "auction/sharded_wdp.h"
@@ -529,11 +532,12 @@ TEST(OracleVariantsProperty, ParallelOracleTrajectoriesBitIdenticalToSerial) {
 }
 
 // ---------------------------------------------------------------------------
-// Mega-batch equality family: run_rounds over K markets == K run_round_into.
+// External-round family: select + price outside the mechanism ==
+// run_round_into.
 // ---------------------------------------------------------------------------
 
 /// Full-delivery settlement built from a round result the same way on both
-/// sides of the mega-batch comparison, so any divergence comes from the
+/// sides of the external-round comparison, so any divergence comes from the
 /// clearing itself, never from the settlement construction.
 RoundSettlement settlement_for(const MechanismResult& result,
                                const std::vector<Candidate>& candidates,
@@ -552,22 +556,20 @@ RoundSettlement settlement_for(const MechanismResult& result,
   return settlement;
 }
 
-TEST(LtoMegaBatchProperty, RunRoundsMatchesPerMarketRunRoundIntoForAllVariants) {
+TEST(LtoExternalRoundProperty, ExternalRoundsMatchRunRoundIntoForAllVariants) {
   // For EVERY registered lto-vcg execution variant (registry-driven, so a
-  // new topology is swept automatically): K independent seeded markets —
-  // each its own mechanism twin pair — cleared round after round two ways:
-  //   reference: per-market run_round_into + settle;
-  //   mega:      external_round_inputs + append_market for every
-  //              market, ONE ShardedWdp::run_rounds, then per-market
-  //              commit_external_round + the identical settle —
-  // exactly the service's clear_market_rounds shape. Winners, payments
-  // (bit for bit), and the final queue backlogs must agree. Variants whose
-  // mechanisms cannot expose external rounds fall back to run_round_into
-  // inside the mega pass, mirroring the service's fallback lane.
-  constexpr std::size_t kMarkets = 5;
-  constexpr std::size_t kRounds = 8;
+  // new topology is swept automatically), a twin pair of mechanisms clears
+  // the same seeded rounds two ways:
+  //   reference: run_round_into + settle;
+  //   external:  external_round_inputs, ShardedWdp::select_top_m and
+  //              critical_payments on an engine built with the mechanism's
+  //              shard count, commit_external_round + the identical settle
+  //              — the shape perfbench's clear-diurnal workload times.
+  // Winners, payments (bit for bit) and the final queue backlogs must
+  // agree.
+  constexpr std::size_t kRounds = 24;
   const std::size_t trajectories = std::min<std::size_t>(
-      20, std::max<std::size_t>(2, trials_per_key() / 64));
+      40, std::max<std::size_t>(4, trials_per_key() / 32));
 
   std::vector<std::string> keys = {"lto-vcg"};
   for (const auto& info : MechanismRegistry::global().describe()) {
@@ -575,114 +577,74 @@ TEST(LtoMegaBatchProperty, RunRoundsMatchesPerMarketRunRoundIntoForAllVariants) 
   }
   ASSERT_GE(keys.size(), 2u) << "variant tags disappeared from the registry";
 
-  const sfl::auction::ShardedWdp engine{
-      sfl::auction::ShardedWdpConfig{.shards = 0}};
-
   for (const std::string& key : keys) {
     for (std::size_t trajectory = 0; trajectory < trajectories; ++trajectory) {
       const std::uint64_t seed = trial_seed(trajectory);
       SCOPED_TRACE("repro: property_mechanism_invariants_test --seed=" +
-                   std::to_string(seed) + " (mega-batch, key " + key + ")");
+                   std::to_string(seed) + " (external rounds, key " + key +
+                   ")");
       const bool failed_before = ::testing::Test::HasFailure();
 
       const MechanismConfig config = property_mechanism_config();
-      std::vector<std::unique_ptr<sfl::auction::Mechanism>> reference;
-      std::vector<std::unique_ptr<sfl::auction::Mechanism>> mega;
-      for (std::size_t k = 0; k < kMarkets; ++k) {
-        reference.push_back(build_mechanism(key, config));
-        mega.push_back(build_mechanism(key, config));
-      }
+      const std::unique_ptr<sfl::auction::Mechanism> reference =
+          build_mechanism(key, config);
+      const std::unique_ptr<sfl::auction::Mechanism> external =
+          build_mechanism(key, config);
+      auto* want_lto = dynamic_cast<core::LongTermOnlineVcgMechanism*>(
+          reference->underlying());
+      auto* lto = dynamic_cast<core::LongTermOnlineVcgMechanism*>(
+          external->underlying());
+      ASSERT_NE(want_lto, nullptr) << key;
+      ASSERT_NE(lto, nullptr) << key;
+      ASSERT_TRUE(lto->supports_external_rounds()) << key;
+      const sfl::auction::ShardedWdp engine(
+          sfl::auction::ShardedWdpConfig{.shards = lto->config().shards});
 
       util::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 2);
-      sfl::auction::MarketBatch markets;
-      sfl::auction::MarketBatchResult batch_results;
       sfl::auction::RoundScratch scratch;
-      sfl::auction::Penalties penalties_scratch;
+      sfl::auction::Penalties penalties;
+      MechanismResult want;
+      MechanismResult got;
 
       for (std::size_t round = 0; round < kRounds; ++round) {
-        std::vector<AdversarialInstance> instances;
-        std::vector<CandidateBatch> batches;
-        for (std::size_t k = 0; k < kMarkets; ++k) {
-          AdversarialInstance instance = make_adversarial_instance(rng());
-          instance.context.round = round;
-          batches.push_back(CandidateBatch::from_aos(instance.candidates));
-          instances.push_back(std::move(instance));
-        }
+        AdversarialInstance instance = make_adversarial_instance(rng());
+        instance.context.round = round;
+        const CandidateBatch batch =
+            CandidateBatch::from_aos(instance.candidates);
+        const std::size_t m = instance.context.max_winners;
 
-        // Reference lane: each market clears alone and settles.
-        std::vector<MechanismResult> want(kMarkets);
-        for (std::size_t k = 0; k < kMarkets; ++k) {
-          reference[k]->run_round_into(batches[k], instances[k].context,
-                                       want[k]);
-          reference[k]->settle(
-              settlement_for(want[k], instances[k].candidates, round));
-        }
+        reference->run_round_into(batch, instance.context, want);
+        reference->settle(settlement_for(want, instance.candidates, round));
 
-        // Mega lane: gather every market into ONE run_rounds call.
-        markets.clear();
-        std::vector<MechanismResult> got(kMarkets);
-        std::vector<std::size_t> fast;
-        for (std::size_t k = 0; k < kMarkets; ++k) {
-          auto* lto = dynamic_cast<core::LongTermOnlineVcgMechanism*>(
-              mega[k]->underlying());
-          ASSERT_NE(lto, nullptr) << key;
-          if (!lto->supports_external_rounds()) {
-            mega[k]->run_round_into(batches[k], instances[k].context, got[k]);
-            continue;
-          }
-          const auto weights =
-              lto->external_round_inputs(batches[k], penalties_scratch);
-          markets.append_market(batches[k], instances[k].context.max_winners,
-                                weights, penalties_scratch);
-          fast.push_back(k);
-        }
-        if (!fast.empty()) {
-          engine.run_rounds(markets, batch_results, scratch);
-          for (std::size_t j = 0; j < fast.size(); ++j) {
-            const std::size_t k = fast[j];
-            auto* lto = dynamic_cast<core::LongTermOnlineVcgMechanism*>(
-                mega[k]->underlying());
-            lto->commit_external_round(batches[k], batch_results.selected(j),
-                                       batch_results.payments(j), got[k]);
-          }
-        }
-        for (std::size_t k = 0; k < kMarkets; ++k) {
-          mega[k]->settle(
-              settlement_for(got[k], instances[k].candidates, round));
-        }
+        const sfl::auction::ScoreWeights weights =
+            lto->external_round_inputs(batch, penalties);
+        engine.select_top_m(batch, weights, m, penalties, scratch);
+        engine.critical_payments(batch, weights, m, penalties, scratch);
+        lto->commit_external_round(batch, scratch.allocation.selected,
+                                   scratch.payments, got);
+        external->settle(settlement_for(got, instance.candidates, round));
 
-        // Bit-for-bit agreement, market by market.
-        for (std::size_t k = 0; k < kMarkets; ++k) {
-          ASSERT_EQ(want[k].winners, got[k].winners)
-              << key << " market " << k << " round " << round;
-          ASSERT_EQ(want[k].payments.size(), got[k].payments.size());
-          for (std::size_t w = 0; w < want[k].payments.size(); ++w) {
-            ASSERT_EQ(std::bit_cast<std::uint64_t>(want[k].payments[w]),
-                      std::bit_cast<std::uint64_t>(got[k].payments[w]))
-                << key << " market " << k << " round " << round << " winner "
-                << w << ": " << want[k].payments[w]
-                << " != " << got[k].payments[w];
-          }
+        ASSERT_EQ(want.winners, got.winners) << key << " round " << round;
+        ASSERT_EQ(want.payments.size(), got.payments.size());
+        for (std::size_t w = 0; w < want.payments.size(); ++w) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(want.payments[w]),
+                    std::bit_cast<std::uint64_t>(got.payments[w]))
+              << key << " round " << round << " winner " << w << ": "
+              << want.payments[w] << " != " << got.payments[w];
         }
       }
 
-      // Post-trajectory queue state must agree too (the settles were fed
-      // identical outcomes, so a divergence means hidden state drift).
-      for (std::size_t k = 0; k < kMarkets; ++k) {
-        auto* want_lto = dynamic_cast<core::LongTermOnlineVcgMechanism*>(
-            reference[k]->underlying());
-        auto* got_lto = dynamic_cast<core::LongTermOnlineVcgMechanism*>(
-            mega[k]->underlying());
-        ASSERT_NE(want_lto, nullptr);
-        ASSERT_NE(got_lto, nullptr);
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(want_lto->budget_backlog()),
-                  std::bit_cast<std::uint64_t>(got_lto->budget_backlog()))
-            << key << " market " << k;
-        for (std::size_t client = 0; client < kMaxClients; ++client) {
-          ASSERT_EQ(want_lto->sustainability_backlog(client),
-                    got_lto->sustainability_backlog(client))
-              << key << " market " << k << " client " << client;
-        }
+      // Queue state must agree too (the settles were fed identical
+      // outcomes, so a divergence means hidden state drift).
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(want_lto->budget_backlog()),
+                std::bit_cast<std::uint64_t>(lto->budget_backlog()))
+          << key;
+      for (std::size_t client = 0; client < kMaxClients; ++client) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                      want_lto->sustainability_backlog(client)),
+                  std::bit_cast<std::uint64_t>(
+                      lto->sustainability_backlog(client)))
+            << key << " client " << client;
       }
 
       if (!failed_before && ::testing::Test::HasFailure()) {

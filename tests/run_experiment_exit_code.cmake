@@ -4,8 +4,12 @@
 #   - a mechanism key the registry does not know (the retired lto-vcg-async,
 #     lto-vcg-dist and lto-vcg-dist-hedge), on the static and multi paths,
 #     prints "unknown mechanism";
-#   - a retired option (dist_workers=, hedge=) is a key no scenario reads,
-#     so the run is refused with the key named.
+#   - a retired option (dist_workers=, hedge=, and shards= on the multi
+#     scenario) is a key no scenario reads, so the run is refused with the
+#     key named;
+#   - a tuning knob (shards=, oracle_threads=, greedy_scale=) given to a
+#     mechanism whose registry entry does not declare it is refused the
+#     same way, while the keys that declare it still run.
 #
 #   cmake -DRUN_EXPERIMENT=<path to run_experiment> -P run_experiment_exit_code.cmake
 if(NOT RUN_EXPERIMENT)
@@ -42,3 +46,29 @@ endforeach()
 expect_exit_2("dist_workers=2" "mechanism=lto-vcg;dist_workers=2"
               "dist_workers")
 expect_exit_2("hedge=0" "mechanism=lto-vcg;hedge=0" "hedge")
+expect_exit_2("scenario=multi shards=4" "scenario=multi;shards=4" "shards")
+
+expect_exit_2("lto-vcg shards=8" "mechanism=lto-vcg;shards=8" "shards")
+foreach(knob oracle_threads greedy_scale)
+  expect_exit_2("pay-as-bid ${knob}"
+                "mechanism=pay-as-bid;oracle_threads=4;greedy_scale=3"
+                "${knob}")
+endforeach()
+
+# The keys that declare a knob still read it: these runs must succeed.
+function(expect_exit_0 label args)
+  execute_process(
+    COMMAND ${RUN_EXPERIMENT} ${args} rounds=1 clients=4 train=200 test=50
+    RESULT_VARIABLE code
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT code STREQUAL "0")
+    message(FATAL_ERROR
+            "${label}: expected exit code 0, got '${code}'\n"
+            "stdout:\n${out}\nstderr:\n${err}")
+  endif()
+endfunction()
+
+expect_exit_0("lto-vcg-sharded shards=2" "mechanism=lto-vcg-sharded;shards=2")
+expect_exit_0("greedy-concave-par knobs"
+              "mechanism=greedy-concave-par;oracle_threads=2;greedy_scale=3")

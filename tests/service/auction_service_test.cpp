@@ -252,6 +252,127 @@ TEST(AuctionServiceTest, MultiClientRoundsMatchInProcessEngineBitExactly) {
   EXPECT_EQ(service->stats().protocol_errors, 0u);
 }
 
+/// Runs poll cycles on the calling thread until `done` holds or 5 s pass;
+/// returns whether `done` held. Tests that drive the service this way own
+/// every tick boundary.
+template <typename Done>
+bool pump_until(AuctionService& service, Done done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    service.poll_once(10);
+  }
+  return true;
+}
+
+/// Sends every workload row of `round`, for every market of `spec`.
+bool send_round(TestClient& client, const WorkloadSpec& spec,
+                std::size_t round) {
+  std::vector<BidRow> rows;
+  for (std::size_t m = 0; m < spec.markets; ++m) {
+    workload_rows(spec, m, round, rows);
+    for (const BidRow& row : rows) {
+      if (!client.send_bid(spec.market_id(m), round, row)) return false;
+    }
+  }
+  return true;
+}
+
+/// Reads every round result of `spec` from `client`: each market's results
+/// must arrive in strict round order (0, 1, 2, ...) and match the
+/// in-process reference bit for bit.
+void expect_strict_round_order(
+    TestClient& client, const WorkloadSpec& spec,
+    const std::vector<std::vector<RoundResult>>& reference) {
+  std::vector<std::uint64_t> next_round(spec.markets, 0);
+  for (std::size_t i = 0; i < spec.total_rounds(); ++i) {
+    const std::optional<RoundResult> result = client.read_round_result();
+    ASSERT_TRUE(result.has_value()) << "result " << i;
+    ASSERT_GE(result->market, spec.first_market);
+    const std::uint64_t m = result->market - spec.first_market;
+    ASSERT_LT(m, spec.markets);
+    ASSERT_EQ(result->round, next_round[m]) << "market " << m;
+    expect_same_result(*result, reference[m][next_round[m]]);
+    ++next_round[m];
+  }
+}
+
+TEST(AuctionServiceTest, EarlyRoundsWaitThenClearInStrictRoundOrder) {
+  // Rounds 3, 2 and 1 of each market fill before round 0 does (all within
+  // max_pending_rounds): they must wait, and round 0's arrival must clear
+  // the whole backlog in round order.
+  std::string why;
+  AuctionServiceConfig config;
+  config.engine = small_engine();
+  auto service = try_build_service(why, config);
+  if (service == nullptr) GTEST_SKIP() << why;
+
+  WorkloadSpec spec;
+  spec.markets = 2;
+  spec.rounds_per_market = 4;
+  spec.clients = 24;
+  spec.bids_per_round = config.engine.bids_per_round;
+  const auto reference = reference_results(spec, config.engine);
+
+  TestClient client;
+  ASSERT_TRUE(client.connect(service->port()));
+  ASSERT_TRUE(pump_until(
+      *service, [&] { return service->stats().connections_accepted == 1; }));
+
+  const std::size_t bids_per_round_all_markets =
+      spec.markets * spec.bids_per_round;
+  for (std::size_t round = 3; round >= 1; --round) {
+    ASSERT_TRUE(send_round(client, spec, round));
+  }
+  ASSERT_TRUE(pump_until(*service, [&] {
+    return service->stats().bids_received == 3 * bids_per_round_all_markets;
+  }));
+  EXPECT_EQ(service->stats().rounds_cleared, 0u);
+
+  ASSERT_TRUE(send_round(client, spec, 0));
+  ASSERT_TRUE(pump_until(*service, [&] {
+    return service->stats().rounds_cleared == spec.total_rounds();
+  }));
+  expect_strict_round_order(client, spec, reference);
+  EXPECT_EQ(service->stats().protocol_errors, 0u);
+}
+
+TEST(AuctionServiceTest, SeveralMarketsFillingInOneTickClearInRoundOrder) {
+  // Every bid of rounds 1 and 0 (round 1 first) for four markets is sent
+  // before the service runs a single tick, so one poll cycle reads them
+  // all: four markets are ready at once, and each cascades into its
+  // already-full round 1 within the same tick.
+  std::string why;
+  AuctionServiceConfig config;
+  config.engine = small_engine();
+  auto service = try_build_service(why, config);
+  if (service == nullptr) GTEST_SKIP() << why;
+
+  WorkloadSpec spec;
+  spec.markets = 4;
+  spec.rounds_per_market = 2;
+  spec.clients = 24;
+  spec.bids_per_round = config.engine.bids_per_round;
+  const auto reference = reference_results(spec, config.engine);
+
+  TestClient client;
+  ASSERT_TRUE(client.connect(service->port()));
+  ASSERT_TRUE(pump_until(
+      *service, [&] { return service->stats().connections_accepted == 1; }));
+
+  ASSERT_TRUE(send_round(client, spec, 1));
+  ASSERT_TRUE(send_round(client, spec, 0));
+  service->poll_once(5000);
+  EXPECT_EQ(service->stats().bids_received, spec.total_bids());
+  EXPECT_EQ(service->stats().rounds_cleared, spec.total_rounds());
+  ASSERT_TRUE(pump_until(*service, [&] {
+    return service->stats().rounds_cleared == spec.total_rounds();
+  }));
+  expect_strict_round_order(client, spec, reference);
+  EXPECT_EQ(service->stats().protocol_errors, 0u);
+}
+
 TEST(AuctionServiceTest, GarbageFrameKillsOnlyThatConnection) {
   std::string why;
   AuctionServiceConfig config;

@@ -68,7 +68,7 @@ TEST(TimerTest, MeasuresElapsedTime) {
   // Busy-wait a tiny amount; elapsed must be non-negative and monotone.
   const double t1 = timer.elapsed_seconds();
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += static_cast<double>(i);
+  for (int i = 0; i < 100000; ++i) sink = sink + static_cast<double>(i);
   const double t2 = timer.elapsed_seconds();
   EXPECT_GE(t1, 0.0);
   EXPECT_GE(t2, t1);
