@@ -24,6 +24,7 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "auction/payments.h"
 #include "auction/random_instance.h"
@@ -43,6 +44,25 @@ using namespace sfl::auction;
 /// in seconds.
 std::int64_t scal_max_n() {
   return sfl::util::fast_mode_enabled() ? 10'000 : 1'000'000;
+}
+
+/// N grid of the full-round families: decades from `smallest` up to
+/// scal_max_n(), plus 20k and 50k where they fit — the rows that place the
+/// serial/sharded crossover behind kMinAutoSpan (auction/sharded_wdp.cpp).
+std::vector<std::int64_t> full_round_sizes(std::int64_t smallest) {
+  std::vector<std::int64_t> sizes;
+  for (std::int64_t n = smallest; n <= scal_max_n(); n *= 10) {
+    sizes.push_back(n);
+  }
+  for (const std::int64_t n : {20'000, 50'000}) {
+    if (n <= scal_max_n()) sizes.push_back(n);
+  }
+  std::sort(sizes.begin(), sizes.end());
+  return sizes;
+}
+
+void full_round_args(benchmark::internal::Benchmark* bench) {
+  for (const std::int64_t n : full_round_sizes(100)) bench->Arg(n);
 }
 
 RandomInstance make_instance(std::size_t n) {
@@ -65,7 +85,7 @@ void BM_TopMWithCriticalPayments(benchmark::State& state) {
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
-// nth_element partial selection makes one full round O(n + m log m).
+// The streaming top-m select makes one full round O(n) on a typical slate.
 BENCHMARK(BM_TopMWithCriticalPayments)
     ->RangeMultiplier(10)
     ->Range(100, scal_max_n())
@@ -73,7 +93,7 @@ BENCHMARK(BM_TopMWithCriticalPayments)
     ->Complexity(benchmark::oN);
 
 void BM_TopMWithCriticalPaymentsBatchSoA(benchmark::State& state) {
-  // The allocating batch path: SoA scoring + nth_element selection +
+  // The allocating batch path: SoA scoring + streaming top-m selection +
   // span-based critical payments, no AoS materialization anywhere.
   const auto n = static_cast<std::size_t>(state.range(0));
   const RandomInstance instance = make_instance(n);
@@ -110,8 +130,7 @@ void BM_FullRoundScratchSerial(benchmark::State& state) {
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_FullRoundScratchSerial)
-    ->RangeMultiplier(10)
-    ->Range(100, scal_max_n())
+    ->Apply(full_round_args)
     ->Unit(benchmark::kMicrosecond)
     ->Complexity(benchmark::oN);
 
@@ -133,12 +152,12 @@ void BM_FullRoundSharded(benchmark::State& state) {
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_FullRoundSharded)
-    ->ArgsProduct({benchmark::CreateRange(10'000, scal_max_n(), 10), {2, 4, 8}})
+    ->ArgsProduct({full_round_sizes(10'000), {2, 4, 8}})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_FullRoundShardedAuto(benchmark::State& state) {
-  // shards=0: one shard per hardware thread (auto mode also keeps spans
-  // >= 4096 candidates, so small N stays effectively serial).
+  // shards=0: serial below 8192 rows per hardware thread, one shard per
+  // hardware thread above (kMinAutoSpan in auction/sharded_wdp.cpp).
   const auto n = static_cast<std::size_t>(state.range(0));
   const RandomInstance instance = make_instance(n);
   const CandidateBatch batch = CandidateBatch::from_aos(instance.candidates);
@@ -153,8 +172,7 @@ void BM_FullRoundShardedAuto(benchmark::State& state) {
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_FullRoundShardedAuto)
-    ->RangeMultiplier(10)
-    ->Range(100, scal_max_n())
+    ->Apply(full_round_args)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_TopMWithVcgExternalityPayments(benchmark::State& state) {

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "auction/winner_determination.h"
 #include "util/require.h"
 #include "util/simd.h"
 
@@ -22,20 +23,6 @@ using sfl::util::check_invariant;
 [[noreturn]] void fail_market(std::size_t k, const std::string& what) {
   fail("market " + std::to_string(k) + ": " + what);
 }
-
-/// The global greedy order over arena rows: score desc, ClientId asc, row
-/// asc. Markets are appended in order, so the row tie-break is (market
-/// index, row) lexicographically. All keys are distinct, so the order is a
-/// pure function of the batch.
-struct GreedyOrder {
-  const double* scores;
-  const ClientId* ids;
-  bool operator()(std::size_t a, std::size_t b) const {
-    if (scores[a] != scores[b]) return scores[a] > scores[b];
-    if (ids[a] != ids[b]) return ids[a] < ids[b];
-    return a < b;
-  }
-};
 
 /// Scores every market's span into the arena-aligned scratch.scores.
 void score_markets(const MarketBatch& batch, RoundScratch& scratch) {
@@ -241,7 +228,7 @@ void clear_exclusive(const MarketBatch& batch, MarketBatchResult& result,
   clear_with(batch, result, scratch, [&] {
     const std::size_t market_count = batch.market_count();
     const double* const scores = scratch.scores.data();
-    const GreedyOrder better{scores, batch.ids().data()};
+    const RowOrder better{scores, batch.ids().data()};
 
     // Fully sort every market's span (no top-(m+1) pruning: exclusivity can
     // reach arbitrarily deep into a market whose best rows lose their
@@ -317,8 +304,10 @@ void clear_exclusive_reference(const MarketBatch& batch,
     // turn iff its market has capacity left and its client is unassigned.
     scratch.order.resize(total);
     std::iota(scratch.order.begin(), scratch.order.end(), std::size_t{0});
+    // RowOrder over arena rows: markets are appended in order, so its row
+    // tie-break is (market index, row) lexicographically.
     std::sort(scratch.order.begin(), scratch.order.end(),
-              GreedyOrder{scores, batch.ids().data()});
+              RowOrder{scores, batch.ids().data()});
     for (const std::size_t row : scratch.order) {
       if (scores[row] <= 0.0) break;  // sorted; the rest are <= 0 too
       const std::size_t k = scratch.exclusive_market_of[row];

@@ -27,7 +27,6 @@ core::LtoVcgConfig lto_config_from(const MechanismConfig& config, bool paced) {
   if (config.lto.bid_proxy_queue_arrival) {
     lto.queue_arrival = core::QueueArrivalMode::kBidProxy;
   }
-  lto.oracle_threads = config.lto.oracle_threads;
   if (paced) {
     if (!config.lto.energy_rates.empty()) {
       lto.energy_rates = config.lto.energy_rates;

@@ -49,7 +49,7 @@ struct LtoVcgOptions {
   bool vcg_externality_payments = false;
   bool bid_proxy_queue_arrival = false;
   /// WDP shard count, consumed by the "lto-vcg-sharded" key: 0 = auto
-  /// (hardware concurrency), 1 = serial (bit-identical to "lto-vcg"),
+  /// (ShardedWdpConfig::shards), 1 = serial (bit-identical to "lto-vcg"),
   /// k > 1 = exactly k contiguous batch spans scored on the shared thread
   /// pool. Any shard count produces identical allocations and payments;
   /// only wall time changes. "lto-vcg" itself always clears serially.
@@ -60,11 +60,6 @@ struct LtoVcgOptions {
   /// first one pays the buffer-growth allocations; safe whenever no two
   /// mechanisms run a round concurrently.
   sfl::auction::RoundScratch* shared_scratch = nullptr;
-  /// Thread lanes for the vcg_externality_payments ablation's per-winner
-  /// leave-one-out re-solves (0 = auto, 1 = serial, k = exactly k lanes).
-  /// Bit-identical payments at every count; ignored under the default
-  /// critical-value rule.
-  std::size_t oracle_threads = 1;
 };
 
 /// Options consumed by the "fixed-price" factory.

@@ -13,7 +13,6 @@
 // scratches to multi-mechanism comparison runs).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -24,11 +23,10 @@ namespace sfl::auction {
 struct RoundScratch {
   /// phi_i for every candidate, aligned with the batch (size n).
   std::vector<double> scores;
-  /// Candidate indices, iota'd then partially selected per shard (size n).
-  std::vector<std::size_t> order;
   /// Mechanism-owned bid-independent penalties (size n or empty).
   Penalties penalties;
-  /// Merged per-shard survivors (<= shards * (m + 1) indices).
+  /// Per-shard top-(m+1) survivors, then their merged order
+  /// (<= shards * (m + 1) indices).
   std::vector<std::size_t> survivors;
   /// The round's allocation; `selected` capacity is reused.
   Allocation allocation;
@@ -38,6 +36,8 @@ struct RoundScratch {
   // Cross-market buffers of the exclusive clears (auction/market_batch.h).
   // Like every other member, they grow on first use and are reused after;
   // a single-market round never touches them.
+  /// Arena row indices, sorted per market (size: arena rows).
+  std::vector<std::size_t> order;
   /// Sorted unique ClientIds of the whole arena (assignment-set keys).
   std::vector<ClientId> exclusive_clients;
   /// One byte per exclusive_clients entry: 1 = already won somewhere.
@@ -49,19 +49,6 @@ struct RoundScratch {
   /// heap of market indices keyed by each cursor's current row.
   std::vector<std::size_t> exclusive_cursor;
   std::vector<std::size_t> exclusive_heap;
-
-  /// Grows every buffer to the given market size up front so the first
-  /// measured round is already allocation-free. Optional: the buffers also
-  /// grow on first use.
-  void reserve(std::size_t candidates, std::size_t shards,
-               std::size_t max_winners) {
-    scores.reserve(candidates);
-    order.reserve(candidates);
-    penalties.reserve(candidates);
-    survivors.reserve(std::min(candidates, shards * (max_winners + 1)));
-    allocation.selected.reserve(max_winners);
-    payments.reserve(max_winners);
-  }
 
   void clear() noexcept {
     scores.clear();

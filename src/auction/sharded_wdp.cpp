@@ -1,9 +1,9 @@
 #include "auction/sharded_wdp.h"
 
 #include <algorithm>
-#include <numeric>
 #include <thread>
 
+#include "auction/winner_determination.h"
 #include "util/config.h"
 #include "util/require.h"
 #include "util/simd.h"
@@ -15,10 +15,16 @@ using sfl::util::require;
 
 namespace {
 
-/// Auto mode only: keep spans big enough that fork-join overhead stays
-/// negligible; explicit shard counts are honored exactly so tests can force
-/// any merge topology on any machine.
-constexpr std::size_t kMinAutoSpan = 4096;
+/// Auto mode only: a round forks onto every hardware thread once each lane
+/// gets at least kMinAutoSpan rows, and runs serially below that. Explicit
+/// shard counts are honored exactly so tests can force any merge topology
+/// on any machine. Measured with bench_e07 (Release, AVX2, 4 cores, m = 10,
+/// medians of 3-5 repetitions): 4 shards tie serial at 35k rows (51 vs
+/// 50 us) and win from 40k on (47 vs 52 us; 77 vs 171 us at 100k), while
+/// 2 shards lose up to 50k rows (57 vs 50 us at 35k) because a fork pays a
+/// worker wake-up of tens of microseconds. So the policy is all lanes or
+/// none, not one lane per kMinAutoSpan rows.
+constexpr std::size_t kMinAutoSpan = 8192;
 
 }  // namespace
 
@@ -35,9 +41,7 @@ std::size_t ShardedWdp::effective_shards(std::size_t n) const {
       const std::size_t count = std::thread::hardware_concurrency();
       return count == 0 ? std::size_t{1} : count;
     }();
-    // Do not split tiny rounds across cores in auto mode.
-    shards = std::min(hardware_threads,
-                      std::max<std::size_t>(n / kMinAutoSpan, 1));
+    shards = n / kMinAutoSpan >= hardware_threads ? hardware_threads : 1;
   }
   return std::min(shards, n);
 }
@@ -61,36 +65,30 @@ const Allocation& ShardedWdp::select_top_m(const CandidateBatch& batch,
   const std::size_t n = batch.size();
   if (n == 0) {
     scratch.scores.clear();
-    scratch.order.clear();
     return allocation;
   }
 
-  scratch.scores.resize(n);
-  scratch.order.resize(n);
   const std::size_t shards = effective_shards(n);
+  // Each shard keeps its local top-(m+1): the +1 slot guarantees the best
+  // global loser — the payment threshold — survives the merge even when all
+  // m winners share its shard. Shard s writes its survivors into its own
+  // slice [s * local_cap, s * local_cap + keep) of scratch.survivors.
+  const std::size_t local_cap = std::min(max_winners + 1, n);
+  scratch.scores.resize(n);
+  scratch.survivors.resize(shards * local_cap);
 
   const std::span<const double> values = batch.values();
   const std::span<const double> bids = batch.bids();
-  const std::span<const ClientId> ids = batch.ids();
   double* const scores = scratch.scores.data();
-  std::size_t* const order = scratch.order.data();
+  std::size_t* const survivors = scratch.survivors.data();
+  // The serial total order (score desc, ClientId asc, index asc). The
+  // global index tie-break makes the merged order a function of the batch,
+  // not of the shard layout.
+  const RowOrder better{scores, batch.ids().data()};
 
-  // Strict total order shared with the serial path: score desc, ClientId
-  // asc, index asc. The global index tie-break makes the merged order a
-  // function of the batch, not of the shard layout.
-  const auto better = [scores, ids](std::size_t a, std::size_t b) {
-    if (scores[a] != scores[b]) return scores[a] > scores[b];
-    if (ids[a] != ids[b]) return ids[a] < ids[b];
-    return a < b;
-  };
-
-  // Each shard keeps its local top-(m+1): the +1 slot guarantees the best
-  // global loser — the payment threshold — survives the merge even when all
-  // m winners share its shard.
-  const std::size_t local_cap = std::min(max_winners + 1, n);
   const double* const penalty_data =
       penalties.empty() ? nullptr : penalties.data();
-  const auto score_and_select = [&](std::size_t /*shard*/, std::size_t begin,
+  const auto score_and_select = [&](std::size_t shard, std::size_t begin,
                                     std::size_t end) {
     // SoA scoring through the runtime-dispatched SIMD kernels, whose every
     // lane evaluates the one shared score() expression tree — so every
@@ -100,13 +98,8 @@ const Allocation& ShardedWdp::select_top_m(const CandidateBatch& batch,
         values.data() + begin, bids.data() + begin,
         penalty_data == nullptr ? nullptr : penalty_data + begin,
         scores + begin, end - begin, weights.value_weight, weights.bid_weight);
-    std::iota(order + begin, order + end, begin);
-    const std::size_t span = end - begin;
-    const std::size_t keep = std::min(local_cap, span);
-    if (keep < span) {
-      std::nth_element(order + begin, order + begin + keep, order + end,
-                       better);
-    }
+    select_top_rows(better, begin, end, std::min(local_cap, end - begin),
+                    survivors + shard * local_cap);
   };
 
   if (shards == 1) {
@@ -120,15 +113,19 @@ const Allocation& ShardedWdp::select_top_m(const CandidateBatch& batch,
     pool.parallel_for_chunks(n, shards, score_and_select);
   }
 
-  // Merge: gather each shard's local winners, order them under the serial
-  // comparator, and take the global top-m positive-score prefix.
+  // Merge: close the gaps a shard shorter than local_cap left in its slice,
+  // order the survivors under the serial comparator, and take the global
+  // top-m positive-score prefix.
+  std::size_t merged = 0;
   for (std::size_t shard = 0; shard < shards; ++shard) {
     const auto [begin, end] =
         sfl::util::ThreadPool::chunk_range(n, shards, shard);
     const std::size_t keep = std::min(local_cap, end - begin);
-    scratch.survivors.insert(scratch.survivors.end(), order + begin,
-                             order + begin + keep);
+    for (std::size_t k = 0; k < keep; ++k) {
+      survivors[merged++] = survivors[shard * local_cap + k];
+    }
   }
+  scratch.survivors.resize(merged);
   std::sort(scratch.survivors.begin(), scratch.survivors.end(), better);
 
   const std::size_t prefix = std::min(max_winners, scratch.survivors.size());

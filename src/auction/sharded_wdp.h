@@ -3,10 +3,11 @@
 // One auction round is three passes over the CandidateBatch arrays:
 //   1. shard: the batch is split into `shards` contiguous spans with the
 //      thread pool's stable chunk layout; each shard scores its span into
-//      the shared scratch.scores array and partially selects its local
-//      top-(m+1) with nth_element (m+1, not m, so the merged survivor set
-//      provably contains the best global loser — the payment threshold —
-//      as well as every global winner);
+//      the shared scratch.scores array, then streams over it once keeping
+//      its local top-(m+1) in a bounded heap (select_top_rows) written to
+//      its own slice of scratch.survivors (m+1, not m, so the merged
+//      survivor set provably contains the best global loser — the payment
+//      threshold — as well as every global winner);
 //   2. merge: the <= shards*(m+1) survivors are sorted under the exact
 //      serial total order (score desc, ClientId asc, index asc) and the
 //      global top-m positive-score prefix becomes the allocation. Select-
@@ -40,8 +41,8 @@ namespace sfl::auction {
 
 struct ShardedWdpConfig {
   /// Number of contiguous batch spans scored/selected independently.
-  /// 0 = auto (the pool's thread count, i.e. hardware concurrency);
-  /// 1 = serial (bit-identical to select_top_m + critical_payments, no
+  /// 0 = auto (serial for small rounds, one shard per hardware thread once
+  /// every shard gets at least 8192 rows); 1 = serial (bit-identical to select_top_m + critical_payments, no
   /// pool involvement). Shard count is a logical partition, not a thread
   /// count: results are identical on any machine.
   std::size_t shards = 0;

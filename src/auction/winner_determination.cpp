@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <numeric>
 #include <thread>
 
 #include "auction/sharded_wdp.h"
@@ -59,40 +58,41 @@ void validate_inputs(const CandidateBatch& batch, const ScoreWeights& weights,
 
 }  // namespace
 
+void select_top_rows(const RowOrder& order, std::size_t begin,
+                     std::size_t end, std::size_t keep, std::size_t* out) {
+  require(keep <= end - begin, "cannot keep more rows than the span holds");
+  for (std::size_t k = 0; k < keep; ++k) out[k] = begin + k;
+  if (keep == 0 || keep == end - begin) return;  // the whole span is kept
+  // out[0, keep) is a heap under RowOrder, so out[0] is the worst kept row.
+  std::make_heap(out, out + keep, order);
+  const double* const scores = order.scores;
+  double worst = scores[out[0]];
+  for (std::size_t i = begin + keep; i < end; ++i) {
+    if (scores[i] < worst) continue;  // the common case: one compare
+    // Equal scores go on to the id/index tie-break (NaN fails it as well).
+    if (!order(i, out[0])) continue;
+    std::pop_heap(out, out + keep, order);
+    out[keep - 1] = i;
+    std::push_heap(out, out + keep, order);
+    worst = scores[out[0]];
+  }
+}
+
 Allocation top_m_from_scores(std::span<const double> scores,
                              std::span<const ClientId> ids,
                              std::size_t max_winners) {
   require(scores.size() == ids.size(), "scores and ids must be aligned");
   const std::size_t n = scores.size();
+  const RowOrder order{scores.data(), ids.data()};
 
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  // Strict total order: score desc, then ClientId asc, then index asc. The
-  // id tie-break makes the rule a function of the market rather than of the
-  // slate's arrival order; the index fallback keeps the order total even
-  // under duplicate ids, so nth_element picks a deterministic top set.
-  const auto better = [&scores, &ids](std::size_t a, std::size_t b) {
-    if (scores[a] != scores[b]) return scores[a] > scores[b];
-    if (ids[a] != ids[b]) return ids[a] < ids[b];
-    return a < b;
-  };
-
-  // Partial selection: partition the top m to the front in O(n) expected,
-  // then order just that prefix — O(n + m log m) vs O(n log n) for a full
-  // sort. At m = 10, N = 100k this is the dominant win on the hot path.
-  const std::size_t prefix = std::min(max_winners, n);
-  if (prefix < n) {
-    std::nth_element(order.begin(),
-                     order.begin() + static_cast<std::ptrdiff_t>(prefix),
-                     order.end(), better);
-  }
-  std::sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(prefix),
-            better);
+  // Keep the top m in one streaming pass, then order just those m.
+  std::vector<std::size_t> top(std::min(max_winners, n));
+  select_top_rows(order, 0, n, top.size(), top.data());
+  std::sort(top.begin(), top.end(), order);
 
   Allocation allocation;
-  for (std::size_t k = 0; k < prefix; ++k) {
-    const std::size_t index = order[k];
-    if (scores[index] <= 0.0) break;  // prefix is sorted; the rest are <= 0 too
+  for (const std::size_t index : top) {
+    if (scores[index] <= 0.0) break;  // top is sorted; the rest are <= 0 too
     allocation.selected.push_back(index);
     allocation.total_score += scores[index];
   }

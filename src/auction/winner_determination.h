@@ -2,10 +2,11 @@
 //
 // Three solvers:
 //  - select_top_m: exact for the modular objective with a cardinality cap.
-//    The production path: scores every candidate, then takes the top m by
-//    std::nth_element partial selection — O(n + m log m) expected instead
-//    of a full O(n log n) sort. An SoA overload consumes a CandidateBatch
-//    directly so the hot loop streams over contiguous arrays.
+//    The production path: scores every candidate, then keeps the top m in
+//    one streaming pass over the scores (select_top_rows: a bounded heap,
+//    O(n log m) worst case, one compare per row that cannot enter) and
+//    sorts just those m. An SoA overload consumes a CandidateBatch directly
+//    so the hot loop streams over contiguous arrays.
 //  - select_exhaustive: brute force over all subsets (n <= 24); the oracle
 //    property tests compare against.
 //  - select_knapsack: exact DP for the budget-constrained variant
@@ -60,6 +61,31 @@ const Allocation& select_top_m(const CandidateBatch& batch,
                                std::size_t max_winners,
                                const Penalties& penalties,
                                RoundScratch& scratch);
+
+/// The strict total order every selection ranks rows by: score desc, then
+/// ClientId asc, then index asc. The id tie-break makes the rule a function
+/// of the market rather than of the slate's arrival order; the index
+/// fallback keeps the order total under duplicate ids, so every top-k set is
+/// unique. `operator()(a, b)` is true when row a ranks before row b.
+struct RowOrder {
+  const double* scores;
+  const ClientId* ids;
+  bool operator()(std::size_t a, std::size_t b) const {
+    if (scores[a] != scores[b]) return scores[a] > scores[b];
+    if (ids[a] != ids[b]) return ids[a] < ids[b];
+    return a < b;
+  }
+};
+
+/// Streaming top-k: writes the `keep` best rows of [begin, end) under
+/// RowOrder into out[0, keep), unordered. Requires keep <= end - begin. One
+/// pass over the span holding a bounded heap of `keep` rows whose front is
+/// the worst kept row; a row scoring below that front is rejected with one
+/// compare, so a typical slate costs O(span) and the worst case (an
+/// ascending slate) O(span log keep). Both the serial selection and every
+/// ShardedWdp shard select through this one function.
+void select_top_rows(const RowOrder& order, std::size_t begin,
+                     std::size_t end, std::size_t keep, std::size_t* out);
 
 /// Shared selection core: given precomputed scores (aligned with `ids`),
 /// returns the top-max_winners positive-score subset with deterministic

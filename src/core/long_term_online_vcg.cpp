@@ -98,8 +98,7 @@ void LongTermOnlineVcgMechanism::run_round_into(const CandidateBatch& batch,
 
   // The externality rule re-solves the WDP per winner; it is the E12
   // ablation path, so the AoS materialization cost is acceptable. The m
-  // independent re-solves run across the pool per config.oracle_threads
-  // (bit-identical payments at every lane count).
+  // leave-one-out re-solves run serially.
   RoundScratch& round_scratch = scratch();
   const Allocation& allocation =
       wdp_.select_top_m(batch, weights, context.max_winners,
@@ -114,7 +113,7 @@ void LongTermOnlineVcgMechanism::run_round_into(const CandidateBatch& batch,
          std::size_t m, const Penalties& p) {
         return sfl::auction::select_top_m(reduced, w, m, p);
       },
-      round_scratch.penalties, config_.oracle_threads, oracle_scratch_);
+      round_scratch.penalties, /*threads=*/1, oracle_scratch_);
   fill_result(batch, allocation.selected, payments, out);
 }
 

@@ -69,8 +69,8 @@ struct LtoVcgConfig {
   /// profile). The long-term constraint becomes the schedule's mean. Empty
   /// uses the constant per_round_budget.
   std::vector<double> budget_schedule{};
-  /// WDP shard count: 1 = serial (default), 0 = auto (hardware
-  /// concurrency), k > 1 = exactly k contiguous batch spans. Every shard
+  /// WDP shard count: 1 = serial (default), 0 = auto
+  /// (ShardedWdpConfig::shards), k > 1 = exactly k contiguous batch spans. Every shard
   /// count produces bit-identical allocations and payments; sharding only
   /// changes wall time.
   std::size_t shards = 1;
@@ -80,11 +80,6 @@ struct LtoVcgConfig {
   /// between rounds; multi-mechanism comparison runs use one warmed
   /// scratch for the whole roster to skip per-mechanism growth.
   sfl::auction::RoundScratch* shared_scratch = nullptr;
-  /// Thread lanes for the kVcgExternality payment rule's per-winner
-  /// leave-one-out re-solves (0 = auto, 1 = serial, k = exactly k lanes).
-  /// Bit-identical payments at every count; ignored under the
-  /// critical-value rule.
-  std::size_t oracle_threads = 1;
   /// Registry key this instance was built under (reported by name()).
   std::string name = "lto-vcg";
 };

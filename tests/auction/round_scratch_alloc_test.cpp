@@ -4,7 +4,8 @@
 // versions. After a warm-up phase (scratch buffers grown, thread pool
 // spawned, result capacity established), a full auction round — scoring,
 // top-m selection, critical payments, result publication, and settlement —
-// must perform ZERO heap allocations, serial and sharded alike. A
+// must perform ZERO heap allocations, serial and sharded alike, and must
+// leave the exclusive clears' n-sized RoundScratch::order unallocated. A
 // regression here silently reintroduces per-round allocator traffic at
 // million-client scale, which is exactly what RoundScratch exists to
 // prevent.
@@ -89,6 +90,9 @@ TEST(RoundScratchAllocTest, EngineRoundIsAllocationFreeAfterWarmup) {
     const std::size_t after = g_allocations.load();
     EXPECT_EQ(after - before, 0u)
         << "shards=" << shards << ": steady-state engine rounds allocated";
+    // The streaming select keeps only per-shard survivors: the n-sized
+    // index buffer of the exclusive clears is never grown.
+    EXPECT_EQ(scratch.order.capacity(), 0u) << "shards=" << shards;
   }
 }
 
@@ -171,6 +175,8 @@ TEST(RoundScratchAllocTest, LtoMechanismRoundAndSettleAreAllocationFree) {
   config.per_round_budget = 5.0;
   config.energy_rates.assign(kClients, 0.5);  // paced: Z queues + penalties on
   config.shards = 1;
+  RoundScratch scratch;  // shared only to inspect the buffers afterwards
+  config.shared_scratch = &scratch;
   sfl::core::LongTermOnlineVcgMechanism mechanism(config);
 
   RoundContext context;
@@ -213,6 +219,10 @@ TEST(RoundScratchAllocTest, LtoMechanismRoundAndSettleAreAllocationFree) {
   const std::size_t after = g_allocations.load();
   EXPECT_EQ(after - before, 0u)
       << "steady-state LTO rounds (run_round_into + settle) allocated";
+  EXPECT_GE(scratch.scores.capacity(), kClients)
+      << "the mechanism did not round on the inspected scratch";
+  EXPECT_EQ(scratch.order.capacity(), 0u)
+      << "a single-market LTO round grew the exclusive clears' index buffer";
 }
 
 TEST(RoundScratchAllocTest, StatelessRuleSettleIsAllocationFree) {

@@ -3,11 +3,16 @@
 // same selected indices, same total score, same payments — including under
 // duplicate scores and duplicate ClientIds, where only the deterministic
 // (score desc, ClientId asc, index asc) tie-break keeps the answer unique.
+// The serial and sharded paths select through one streaming helper, so
+// "matches serial" alone no longer tests the selection: FullSortOracle
+// compares every shard count against an independent full-sort reference.
 #include "auction/sharded_wdp.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "auction/payments.h"
 #include "auction/random_instance.h"
@@ -130,6 +135,142 @@ TEST(ShardedWdpTest, EdgeCasesMatchSerial) {
     losing.emplace(1, 0.1, 2.0, 1.0);
     engine.run_round(losing, weights, 2, {}, scratch);
     EXPECT_TRUE(scratch.allocation.selected.empty());
+  }
+}
+
+/// One round computed without the engine: score every row through the
+/// shared score() expression, fully sort every index under the total order
+/// (score desc, ClientId asc, index asc), take the positive top-m, and price
+/// each winner at the best non-selected score clamped at 0.
+struct ReferenceRound {
+  std::vector<std::size_t> selected;
+  double total_score = 0.0;
+  std::vector<double> payments;
+};
+
+ReferenceRound full_sort_reference(const CandidateBatch& batch,
+                                   const ScoreWeights& weights, std::size_t m,
+                                   const Penalties& penalties) {
+  const std::size_t n = batch.size();
+  const std::span<const ClientId> ids = batch.ids();
+  const std::span<const double> values = batch.values();
+  const std::span<const double> bids = batch.bids();
+  std::vector<double> scores(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    scores[i] = score(values[i], bids[i], weights, penalty_at(penalties, i));
+  }
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (scores[a] != scores[b]) return scores[a] > scores[b];
+    if (ids[a] != ids[b]) return ids[a] < ids[b];
+    return a < b;
+  });
+
+  ReferenceRound round;
+  std::size_t taken = 0;
+  while (taken < std::min(m, n) && scores[order[taken]] > 0.0) {
+    round.total_score += scores[order[taken]];
+    ++taken;
+  }
+  const double threshold =
+      taken == m && n > m ? std::max(0.0, scores[order[m]]) : 0.0;
+  round.selected.assign(order.begin(),
+                        order.begin() + static_cast<std::ptrdiff_t>(taken));
+  std::sort(round.selected.begin(), round.selected.end());
+  for (const std::size_t i : round.selected) {
+    const double critical_bid = (weights.value_weight * values[i] -
+                                 penalty_at(penalties, i) - threshold) /
+                                weights.bid_weight;
+    round.payments.push_back(std::max(critical_bid, bids[i]));
+  }
+  return round;
+}
+
+enum class SlateOrder { kShuffled, kAscending, kDescending };
+
+/// A gridded slate with duplicate ids (make_colliding_instance) where every
+/// fifth row scores exactly +0.0 or -0.0, optionally sorted by unit-weight
+/// score. An ascending slate makes every row displace the worst kept one.
+TrialInstance make_oracle_slate(sfl::util::Rng& rng, std::size_t n,
+                                bool with_penalties, SlateOrder slate_order) {
+  const TrialInstance drawn = make_colliding_instance(rng, n, with_penalties);
+  struct Row {
+    ClientId id;
+    double value;
+    double bid;
+    double penalty;
+  };
+  std::vector<Row> rows;
+  for (std::size_t i = 0; i < n; ++i) {
+    Row row{drawn.batch.ids()[i], drawn.batch.values()[i],
+            drawn.batch.bids()[i], penalty_at(drawn.penalties, i)};
+    if (i % 5 == 2) {
+      // value -0.0 scores -0.0 (vw * -0.0 - bw * 0.0 - 0.0); value 0.0
+      // scores +0.0. Both are valid candidates and compare equal.
+      row.value = i % 10 == 2 ? -0.0 : 0.0;
+      row.bid = 0.0;
+      row.penalty = 0.0;
+    }
+    rows.push_back(row);
+  }
+  const auto unit_score = [](const Row& row) {
+    return row.value - row.bid - row.penalty;
+  };
+  if (slate_order == SlateOrder::kAscending) {
+    std::stable_sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
+      return unit_score(a) < unit_score(b);
+    });
+  } else if (slate_order == SlateOrder::kDescending) {
+    std::stable_sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
+      return unit_score(a) > unit_score(b);
+    });
+  }
+  TrialInstance trial;
+  for (const Row& row : rows) {
+    trial.batch.emplace(row.id, row.value, row.bid, 1.0);
+    if (with_penalties) trial.penalties.push_back(row.penalty);
+  }
+  return trial;
+}
+
+TEST(ShardedWdpTest, FullSortOracleMatchesEveryShardCountBitForBit) {
+  sfl::util::Rng rng(409);
+  const ScoreWeights unit{.value_weight = 1.0, .bid_weight = 1.0};
+  // Exact on the 1/4 grid too, so scores still collide.
+  const ScoreWeights scaled{.value_weight = 2.0, .bid_weight = 1.25};
+  int slate = 0;
+  for (const std::size_t n : {1u, 2u, 37u, 700u, 5000u}) {
+    for (const SlateOrder slate_order :
+         {SlateOrder::kShuffled, SlateOrder::kAscending,
+          SlateOrder::kDescending}) {
+      for (const bool with_penalties : {false, true}) {
+        const TrialInstance instance =
+            make_oracle_slate(rng, n, with_penalties, slate_order);
+        const ScoreWeights& weights = slate++ % 2 == 0 ? unit : scaled;
+        for (const std::size_t shards : kShardCounts) {
+          const std::size_t span = std::max<std::size_t>(n / shards, 1);
+          for (const std::size_t m :
+               {std::size_t{0}, std::size_t{1}, span - 1, span, n, n + 3}) {
+            const ReferenceRound reference = full_sort_reference(
+                instance.batch, weights, m, instance.penalties);
+            const ShardedWdp engine{ShardedWdpConfig{.shards = shards}};
+            RoundScratch scratch;
+            engine.run_round(instance.batch, weights, m, instance.penalties,
+                             scratch);
+            const std::string label =
+                "n=" + std::to_string(n) + " slate=" + std::to_string(slate) +
+                " shards=" + std::to_string(shards) +
+                " m=" + std::to_string(m);
+            ASSERT_EQ(scratch.allocation.selected, reference.selected)
+                << label;
+            EXPECT_EQ(scratch.allocation.total_score, reference.total_score)
+                << label;
+            EXPECT_EQ(scratch.payments, reference.payments) << label;
+          }
+        }
+      }
+    }
   }
 }
 

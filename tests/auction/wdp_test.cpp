@@ -94,21 +94,41 @@ TEST(SelectTopMTest, TiesBreakByClientIdNotSlateOrder) {
 }
 
 TEST(SelectTopMTest, PartialSelectionMatchesFullSortOnRandomInstances) {
-  // The nth_element path must agree with a reference full sort on the same
-  // (score desc, id asc, index asc) order, including at m >= n and m = 0.
+  // The streaming top-m select must agree with a reference full sort on the
+  // same (score desc, id asc, index asc) order, including at m >= n and
+  // m = 0. Odd trials snap values, bids and penalties to a 1/4 grid and
+  // draw ids from a small range, so scores and ids collide at every
+  // tie-break level.
   sfl::util::Rng rng(2024);
   for (int trial = 0; trial < 200; ++trial) {
+    const bool colliding = trial % 2 == 1;
     RandomInstanceSpec spec;
     spec.num_candidates = 1 + rng.uniform_index(40);
-    const auto instance = make_random_instance(spec, rng);
-    const ScoreWeights weights = make_random_weights(rng);
-    const std::size_t m = rng.uniform_index(instance.candidates.size() + 3);
-
-    std::vector<double> scores(instance.candidates.size());
-    for (std::size_t i = 0; i < instance.candidates.size(); ++i) {
-      scores[i] = score(instance.candidates[i], weights);
+    spec.penalty_hi = trial % 4 >= 2 ? 1.0 : 0.0;
+    auto instance = make_random_instance(spec, rng);
+    const std::size_t n = instance.candidates.size();
+    const auto snap = [](double x) { return std::round(x * 4.0) / 4.0; };
+    if (colliding) {
+      for (auto& candidate : instance.candidates) {
+        candidate.id = rng.uniform_index(n / 2 + 1);
+        candidate.value = snap(candidate.value);
+        candidate.bid = snap(candidate.bid);
+      }
+      for (double& penalty : instance.penalties) penalty = snap(penalty);
     }
-    std::vector<std::size_t> order(instance.candidates.size());
+    const Penalties& penalties = instance.penalties;
+    const ScoreWeights weights = colliding
+                                     ? ScoreWeights{.value_weight = 1.0,
+                                                    .bid_weight = 1.0}
+                                     : make_random_weights(rng);
+    const std::size_t m = rng.uniform_index(n + 3);
+
+    std::vector<double> scores(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      scores[i] = score(instance.candidates[i], weights,
+                        penalty_at(penalties, i));
+    }
+    std::vector<std::size_t> order(n);
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
       if (scores[a] != scores[b]) return scores[a] > scores[b];
@@ -126,9 +146,10 @@ TEST(SelectTopMTest, PartialSelectionMatchesFullSortOnRandomInstances) {
     }
     std::sort(reference.selected.begin(), reference.selected.end());
 
-    const Allocation alloc = select_top_m(instance.candidates, weights, m);
+    const Allocation alloc =
+        select_top_m(instance.candidates, weights, m, penalties);
     EXPECT_EQ(alloc.selected, reference.selected) << "trial " << trial;
-    EXPECT_DOUBLE_EQ(alloc.total_score, reference.total_score);
+    EXPECT_EQ(alloc.total_score, reference.total_score) << "trial " << trial;
   }
 }
 
